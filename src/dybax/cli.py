@@ -307,6 +307,8 @@ def cmd_limit(args):
 
 
 def cmd_shapovalov(args):
+    if args.depth < 0:
+        raise PreconditionError(f"depth {args.depth} compares no Gram entry; need depth >= 0")
     datum = build_type_A(2, "sl")
     residuals = shapovalov_vs_fusion(datum, args.depth, args.quantum)
     ok = all(r.is_zero for r in residuals)
@@ -365,6 +367,8 @@ def cmd_macdonald(args):
 def cmd_acceptance(args):
     from . import acceptance
     results = acceptance.run(args.criterion)
+    if not results:
+        raise argparse.ArgumentTypeError(f"no acceptance criterion {args.criterion}")
     for name, ok, seconds in results:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({seconds:.1f}s)",
               file=sys.stderr)

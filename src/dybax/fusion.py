@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .linalg import Mat
 from .reps import TensorIndex, constant_R, sym_power, vector_rep
-from .rootdata import build_type_A, weight_add, weight_neg, weight_sub
+from .rootdata import RootDatumError, build_type_A, weight_add, weight_neg, weight_sub
 from .scalars import quantum_aux_ctx
 from .verma import key_letters, solve_intertwiner, verma_slice
 
@@ -296,7 +296,7 @@ def _abrr_classical(m1, m2):
         beta = weight_sub(m2.weights[idx.multi(r)[1]], m2.weights[idx.multi(c)[1]])
         try:
             return datum.root_height(beta), beta
-        except Exception:
+        except RootDatumError:
             return None, beta
 
     for h in range(1, spread + 1):

@@ -1,8 +1,13 @@
-"""Small exact matrices over a Scalar context: products, inverses, kernels.
+"""Small exact matrices over a Scalar context: products, solves, kernels.
 
 Matrices here are sparse row-major dictionaries of Scalars.  Everything is
-exact Gaussian elimination over the fraction field; sizes in this package
-stay below ~100, so no pivoting strategy beyond "first nonzero" is needed.
+exact Gaussian elimination over the fraction field.  `Mat.solve` is the one
+Gauss-Jordan routine for linear systems: it reduces [A | B] once for a whole
+block B of right-hand sides, so restricting an operator to a submodule
+(every column of the restriction at once), `Mat.inverse` (B = 1) and
+`solve_dense` (one column) share a single elimination.  Sizes in this
+package stay below a few hundred rows, so no pivoting strategy beyond
+"first nonzero" is needed.
 """
 
 from __future__ import annotations
@@ -124,37 +129,61 @@ class Mat:
         return best
 
     def inverse(self):
-        n = self.nrows
-        if n != self.ncols:
+        if self.nrows != self.ncols:
             raise ValueError("not square")
-        a = [[self[i, j] for j in range(n)] for i in range(n)]
-        inv = [[self.ctx.one if i == j else self.ctx.zero for j in range(n)]
-               for i in range(n)]
+        try:
+            return self.solve(Mat.identity(self.nrows, self.ctx))
+        except ZeroDivisionError:
+            raise ZeroDivisionError("singular matrix") from None
+
+    def solve(self, rhs):
+        """The unique X with self * X == rhs, for all columns of rhs at once.
+
+        [self | rhs] is brought to reduced row echelon form by one sparse
+        Gauss-Jordan pass.  Raises ZeroDivisionError if a zero row of self
+        meets a nonzero entry of rhs in any column, or if self has a kernel
+        (overdetermined systems are fine when consistent).
+        """
+        if rhs.nrows != self.nrows:
+            raise ValueError("shape mismatch")
+        n = self.ncols
+        a = []
+        for i in range(self.nrows):
+            row = {j: v for j, v in self.rows.get(i, {}).items() if not v.is_zero}
+            row.update((n + j, v) for j, v in rhs.rows.get(i, {}).items()
+                       if not v.is_zero)
+            a.append(row)
+        rank = 0
         for col in range(n):
-            piv = None
-            for r in range(col, n):
-                if not a[r][col].is_zero:
-                    piv = r
-                    break
+            piv = next((r for r in range(rank, len(a)) if col in a[r]), None)
             if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv[col], inv[piv] = inv[piv], inv[col]
-            p = a[col][col]
-            a[col] = [x / p for x in a[col]]
-            inv[col] = [x / p for x in inv[col]]
-            for r in range(n):
-                if r == col:
+                continue
+            a[rank], a[piv] = a[piv], a[rank]
+            p = a[rank][col]
+            prow = a[rank] = {j: x / p for j, x in a[rank].items()}
+            others = [(j, y) for j, y in prow.items() if j != col]
+            for r, row in enumerate(a):
+                f = row.get(col)
+                if f is None or r == rank:
                     continue
-                factor = a[r][col]
-                if factor.is_zero:
-                    continue
-                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
-                inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-        out = Mat(n, n, self.ctx)
+                del row[col]
+                for j, y in others:
+                    v = row[j] - f * y if j in row else -(f * y)
+                    if v.is_zero:
+                        del row[j]
+                    else:
+                        row[j] = v
+            rank += 1
+        if any(a[rank:]):
+            raise ZeroDivisionError("inconsistent linear system")
+        if rank < n:
+            raise ZeroDivisionError("underdetermined linear system")
+        # full column rank: row i holds pivot i, so its other entries are X's row i
+        out = Mat(n, rhs.ncols, self.ctx)
         for i in range(n):
-            for j in range(n):
-                out.set(i, j, inv[i][j])
+            sol = {j - n: v for j, v in a[i].items() if j >= n}
+            if sol:
+                out.rows[i] = sol
         return out
 
     def apply(self, vec):
@@ -176,42 +205,17 @@ class Mat:
 def solve_dense(ctx, rows, rhs):
     """Solve A x = b exactly; rows is a list of dense coefficient lists.
 
-    Returns the unique solution or raises if the system is singular or
-    inconsistent (overdetermined systems are fine when consistent).
+    The one-column case of `Mat.solve`: returns the unique solution or
+    raises if the system is singular or inconsistent.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    a = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if not a[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        a[rank] = [x / p for x in a[rank]]
-        for r in range(m):
-            if r == rank:
-                continue
-            f = a[r][col]
-            if not f.is_zero:
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    for r in range(rank, m):
-        if not a[r][ncols].is_zero:
-            raise ZeroDivisionError("inconsistent linear system")
-    if rank < ncols:
-        raise ZeroDivisionError("underdetermined linear system")
-    x = [ctx.zero] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = a[r][ncols]
-    return x
+    m, n = len(rows), len(rows[0]) if rows else 0
+    a, b = Mat(m, n, ctx), Mat(m, 1, ctx)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            a.set(i, j, v)
+        b.set(i, 0, rhs[i])
+    x = a.solve(b)
+    return [x[j, 0] for j in range(n)]
 
 
 def kernel_basis(ctx, rows, ncols):

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .linalg import Mat, kernel_basis, solve_dense
+from .linalg import Mat, kernel_basis
 from .rootdata import weight_add, weight_neg
 
 
@@ -292,12 +292,12 @@ def constant_R(m1, m2):
         parent, embed = m1.provenance[1], m1.provenance[2]
         big = constant_R(parent, m2)
         emb = _embed_tensor(embed, Mat.identity(m2.dim, ctx), ctx)
-        return _restrict(big, emb, ctx)
+        return _restrict(big, emb)
     if k2 == "sub":
         parent, embed = m2.provenance[1], m2.provenance[2]
         big = constant_R(m1, parent)
         emb = _embed_tensor(Mat.identity(m1.dim, ctx), embed, ctx)
-        return _restrict(big, emb, ctx)
+        return _restrict(big, emb)
     if k1 == "tensor":
         a, b = m1.provenance[1], m1.provenance[2]
         # R_{(A(x)B),C} = R_13 R_23 on A (x) B (x) C
@@ -366,25 +366,13 @@ def _embed_tensor(e1, e2, ctx):
     return out
 
 
-def _restrict(big, embed, ctx):
-    """S with big * embed = embed * S; errors if the span is not preserved."""
-    d = embed.ncols
-    image = big * embed
-    rows = [[embed[i, j] for j in range(d)] for i in range(embed.nrows)]
-    out = Mat(d, d, ctx)
-    for col in range(d):
-        rhs = [image[i, col] for i in range(embed.nrows)]
-        try:
-            x = solve_dense(ctx, rows, rhs)
-        except ZeroDivisionError as exc:
-            raise ConventionError("operator does not preserve the submodule") from exc
-        for r, v in enumerate(x):
-            out.set(r, col, v)
-    return out
-
-
-def restrict_operator(big, embed, ctx):
-    return _restrict(big, embed, ctx)
+def _restrict(big, embed):
+    """S with big * embed = embed * S, all columns by one elimination;
+    errors if the span is not preserved."""
+    try:
+        return embed.solve(big * embed)
+    except ZeroDivisionError as exc:
+        raise ConventionError("operator does not preserve the submodule") from exc
 
 
 def _power_projector_rows(module, power, anti):
@@ -450,8 +438,8 @@ def _power_module(module, power, anti):
             embed.set(i, col, v)
     e_mats, f_mats = {}, {}
     for i in range(datum.rank):
-        e_mats[i] = _restrict(big.e(i), embed, ctx)
-        f_mats[i] = _restrict(big.f(i), embed, ctx)
+        e_mats[i] = _restrict(big.e(i), embed)
+        f_mats[i] = _restrict(big.f(i), embed)
     kind = "ext" if anti else "sym"
     labels = [f"{kind}{power}.{k}" for k in range(len(basis_vectors))]
     sub = WeightModule(datum, quantum, labels, basis_weights, e_mats, f_mats,

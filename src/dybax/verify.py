@@ -359,6 +359,8 @@ def dynamical_hecke_rep(rop, p, q, name="R"):
     report asserts braid relations, locality, and the quadratic Hecke
     relation per generator, exactly.
     """
+    if p < 2:
+        raise PreconditionError(f"p = {p} tensor slots carry no Hecke relation; need p >= 2")
     v = rop.factors[0]
     ctx = rop.ctx
     factors = [v] * p
@@ -370,8 +372,7 @@ def dynamical_hecke_rep(rop, p, q, name="R"):
         pmat = place_in_slots(
             DynOp([v, v], permutation_matrix(v.dim, v.dim, ctx)), factors, i, i + 1)
         ops.append(DynOp(factors, pmat.mat * placed.mat))
-    dim = ops[0].dim if ops else 0
-    ident = Mat.identity(dim, ctx)
+    ident = Mat.identity(ops[0].dim, ctx)
     failures = []
     count = 0
     for i, op in enumerate(ops):

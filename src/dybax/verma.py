@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from .linalg import Mat, rank_of, solve_dense
-from .rootdata import mat_bracket, weight_add, weight_scale, weight_sub
+from .rootdata import RootDatumError, mat_bracket, weight_add, weight_scale, weight_sub
 
 
 class VermaError(Exception):
@@ -37,7 +37,7 @@ class DegenerateWeightError(VermaError):
 def _height_or_none(datum, nu):
     try:
         return datum.root_height(nu)
-    except Exception:
+    except RootDatumError:
         return None
 
 

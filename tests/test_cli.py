@@ -125,3 +125,19 @@ def test_output_file(tmp_path, capsys):
     code = main(["datum", "--n", "2", "-o", str(target)])
     assert code == 0
     assert json.loads(target.read_text())["kind"] == "root-datum"
+
+
+def test_acceptance_rejects_unknown_criterion(capsys):
+    code, out = run_cli(capsys, ["acceptance", "--criterion", "99"])
+    assert code == 2 and out == ""  # runs nothing, so it must not pass
+
+
+def test_hecke_rep_with_one_slot_is_a_precondition_violation(capsys):
+    code, out = run_cli(capsys, ["verify", "hecke-rep", "--catalog", "R-eps-X",
+                                 "--n", "2", "--X", "1,2", "--p", "1"])
+    assert code == 3 and out == ""  # p = 1 checks no relation
+
+
+def test_shapovalov_negative_depth_is_a_precondition_violation(capsys):
+    code, out = run_cli(capsys, ["shapovalov", "--depth", "-1"])
+    assert code == 3 and out == ""  # depth -1 compares no Gram entry

@@ -1,6 +1,9 @@
+import pytest
+
 from dybax.reps import vector_rep
 from dybax.rootdata import build_type_A
 from dybax.verma import (
+    _height_or_none,
     apply_coproduct_word,
     enumerate_drops,
     kostant,
@@ -146,3 +149,11 @@ def test_enumerate_drops():
     drops = enumerate_drops(datum, 2)
     assert (0, 0) in [tuple(map(int, d)) for d in drops]
     assert len(drops) == 3
+
+
+def test_height_or_none_only_absorbs_root_datum_errors():
+    datum = build_type_A(3, "gl")
+    assert _height_or_none(datum, (1, -1, 0)) == 1
+    assert _height_or_none(datum, (1, 0, 0)) is None   # off the root lattice
+    with pytest.raises(TypeError):
+        _height_or_none(datum, None)   # a bug, not "not a root"
