@@ -13,9 +13,10 @@ are produced directly as DynOp matrices on the vector representation.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .fusion import DynOp
-from .linalg import Mat
+from .linalg import Mat, kernel_basis, rank_of, rref
 from .reps import TensorIndex, vector_rep
 from .rootdata import (
     build_type_A,
@@ -25,6 +26,10 @@ from .rootdata import (
     weight_sub,
 )
 from .scalars import symbol_ctx
+
+
+# the zero and one `kernel_basis` fills its vectors with, for rational rows
+RATIONALS = SimpleNamespace(zero=Fraction(0), one=Fraction(1))
 
 
 class CatalogError(Exception):
@@ -63,12 +68,6 @@ class ClassicalRMatrix:
         if self._cartan_pairs is not None:
             return self._cartan_pairs
         return self.datum.cartan_pairs()
-
-    def flip(self):
-        return ClassicalRMatrix(self.datum, self.ctx,
-                                [(b, a, c) for (a, b, c) in self.terms],
-                                self.coupling, self.w_eps, self.name + "^21",
-                                self._cartan_pairs)
 
     def as_tensor(self):
         """Collect into {(E-index pair, E-index pair): Scalar}."""
@@ -352,76 +351,32 @@ def _simple_coefficients(datum, alpha):
 
 
 def _in_span(vec, basis):
-    # rational rank comparison
     rows = [list(map(Fraction, b)) for b in basis]
-    r0 = _rat_rank(rows)
-    rows.append(list(map(Fraction, vec)))
-    return _rat_rank(rows) == r0
-
-
-def _rat_rank(rows):
-    rows = [list(r) for r in rows]
-    m, cols = len(rows), len(rows[0]) if rows else 0
-    rank = 0
-    for c in range(cols):
-        piv = None
-        for r in range(rank, m):
-            if rows[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pv = rows[rank][c]
-        rows[rank] = [x / pv for x in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+    ncols = len(vec)
+    return rank_of(rows + [list(map(Fraction, vec))], ncols) == rank_of(rows, ncols)
 
 
 def _orthocomplement(datum, l_basis):
     """Rational basis of l^perp inside h (epsilon coordinates)."""
-    n = datum.n_coords
-    if not l_basis:
-        return [tuple(Fraction(1 if k == i else 0) for k in range(n))
-                for i in range(n)]
     rows = [[Fraction(x) for x in v] for v in l_basis]
-    from .linalg import kernel_basis
-    # kernel over Q: reuse the scalar-free elimination
-    m = len(rows)
-    # forward eliminate
-    work = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for c in range(n):
-        piv = None
-        for r in range(rank, m):
-            if work[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        pv = work[rank][c]
-        work[rank] = [x / pv for x in work[rank]]
-        for r in range(m):
-            if r != rank and work[r][c] != 0:
-                f = work[r][c]
-                work[r] = [x - f * y for x, y in zip(work[r], work[rank])]
-        pivots.append(c)
-        rank += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -work[r][fc]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(v) for v in kernel_basis(RATIONALS, rows, datum.n_coords)]
+
+
+def _inverse_gram(vectors):
+    """Inverse Gram matrix of rational vectors under the invariant form (the
+    dot product in epsilon coordinates); ZeroDivisionError if they are
+    linearly dependent."""
+    d = len(vectors)
+    rows = []
+    for i, a in enumerate(vectors):
+        row = {j: g for j, b in enumerate(vectors)
+               if (g := sum(Fraction(x) * Fraction(y) for x, y in zip(a, b)))}
+        row[d + i] = Fraction(1)
+        rows.append(row)
+    pivots, _ = rref(rows, d)
+    if len(pivots) < d:
+        raise ZeroDivisionError("singular Gram matrix")
+    return [[row.get(d + j, Fraction(0)) for j in range(d)] for _, row in pivots]
 
 
 def appendixA_r(triple):
@@ -440,12 +395,10 @@ def appendixA_r(triple):
     if dim_l == 0:
         raise InvalidTripleError("l must be nonzero (constant r-matrices are "
                                  "out of scope)")
-    gram = [[sum(Fraction(x) * Fraction(y) for x, y in zip(a, b)) for b in l_basis]
-            for a in l_basis]
     try:
-        ginv = _rat_inverse(gram)
-    except StopIteration:
-        raise InvalidTripleError("the form restricted to l is degenerate")
+        ginv = _inverse_gram(l_basis)
+    except ZeroDivisionError:
+        raise InvalidTripleError("the form restricted to l is degenerate") from None
     ctx = symbol_ctx(dim_l)
 
     def u_alpha_l(alpha):
@@ -522,12 +475,10 @@ def _solve_r0(triple, ctx):
     d = len(h0)
     if d == 0 or not triple.gamma1:
         return []
-    # Gram of the h0 basis under the invariant form (epsilon coordinates)
-    gram = [[sum(Fraction(x) * Fraction(y) for x, y in zip(a, b)) for b in h0]
-            for a in h0]
-    ginv = _rat_inverse(gram)
+    ginv = _inverse_gram(h0)
     unknowns = [(i, j) for i in range(d) for j in range(i + 1, d)]
-    rows, rhs = [], []
+    nvars = len(unknowns)
+    rows = []
     for isimp in triple.gamma1:
         alpha = datum.simple_roots[isimp]
         talpha = datum.simple_roots[triple.tau[isimp]]
@@ -541,20 +492,27 @@ def _solve_r0(triple, ctx):
                    for i in range(d)]
         pair_m = [sum(Fraction(x) * Fraction(y) for x, y in zip(amta, b)) for b in h0]
         for comp in range(d):
-            row = []
-            for (i, j) in unknowns:
+            row = {}
+            for k, (i, j) in enumerate(unknowns):
                 coeff = Fraction(0)
                 if j == comp:
                     coeff += pair_m[i]
                 if i == comp:
                     coeff -= pair_m[j]
-                row.append(coeff)
+                if coeff:
+                    row[k] = coeff
+            if rhs_vec[comp]:
+                row[nvars] = rhs_vec[comp]
             rows.append(row)
-            rhs.append(rhs_vec[comp])
-    sol = _rat_solve_underdetermined(rows, rhs, len(unknowns))
+    # a particular solution, free unknowns set to zero
+    pivots, rest = rref(rows, nvars)
+    if rest:
+        raise InvalidTripleError("r0 equation is inconsistent")
+    sol = {k: row.get(nvars) for k, row in pivots}
     out = []
-    for (c, (i, j)) in zip(sol, unknowns):
-        if c == 0:
+    for k, (i, j) in enumerate(unknowns):
+        c = sol.get(k)
+        if not c:
             continue
         hi = _diag_matrix(h0[i])
         hj = _diag_matrix(h0[j])
@@ -565,54 +523,6 @@ def _solve_r0(triple, ctx):
 
 def _diag_matrix(coords):
     return {(a, a): Fraction(c) for a, c in enumerate(coords) if c}
-
-
-def _rat_inverse(rows):
-    n = len(rows)
-    a = [list(r) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, r in enumerate(rows)]
-    for c in range(n):
-        piv = next(r for r in range(c, n) if a[r][c] != 0)
-        a[c], a[piv] = a[piv], a[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
-
-
-def _rat_solve_underdetermined(rows, rhs, nvars):
-    """Particular rational solution with free variables set to zero."""
-    m = len(rows)
-    a = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots = []
-    rank = 0
-    for c in range(nvars):
-        piv = None
-        for r in range(rank, m):
-            if a[r][c] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        pv = a[rank][c]
-        a[rank] = [x / pv for x in a[rank]]
-        for r in range(m):
-            if r != rank and a[r][c] != 0:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivots.append(c)
-        rank += 1
-    for r in range(rank, m):
-        if a[r][nvars] != 0:
-            raise InvalidTripleError("r0 equation is inconsistent")
-    x = [Fraction(0)] * nvars
-    for r, c in enumerate(pivots):
-        x[c] = a[r][nvars]
-    return x
 
 
 # -- quantum families --------------------------------------------------------

@@ -5,18 +5,15 @@ acceptance-table runner.
 Batch only; artifacts are canonical JSON on stdout or a file, logs go to
 stderr.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage errors,
 3 precondition violations.  DYBAX_WORKERS > 1 fans the independent checks
-of `verify-suite` out to a process pool.
+of `verify-suite` out to a process pool of at most one worker per core.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from . import serialize
 from .catalog import (
@@ -64,47 +61,6 @@ EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
 
 
-@dataclass
-class JobSpec:
-    """A parsed job: subcommand plus every knob it takes.  Round-trips
-    through its JSON encoding unchanged (tested), so jobs can be stored and
-    replayed."""
-
-    command: str
-    options: dict = field(default_factory=dict)
-
-    def to_json(self):
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text):
-        data = json.loads(text)
-        return cls(command=data["command"], options=dict(data["options"]))
-
-    @classmethod
-    def from_args(cls, args):
-        options = {k: v for k, v in sorted(vars(args).items())
-                   if k != "func" and v is not None}
-        command = options.pop("command")
-        return cls(command=command, options=options)
-
-    def argv(self):
-        out = [self.command]
-        positional = {"catalog": "name", "verify": "equation",
-                      "macdonald": "action"}.get(self.command)
-        opts = dict(self.options)
-        if positional and positional in opts:
-            out.append(str(opts.pop(positional)))
-        for k, v in sorted(opts.items()):
-            flag = "--" + k.replace("_", "-")
-            if isinstance(v, bool):
-                if v:
-                    out.append(flag)
-            else:
-                out.extend([flag, str(v)])
-        return out
-
-
 def _emit(args, payload):
     text = serialize.dumps(payload)
     if getattr(args, "output", None):
@@ -114,10 +70,25 @@ def _emit(args, payload):
         sys.stdout.write(text)
 
 
-def _parse_subset(text):
-    if not text:
-        return []
-    return [int(x) for x in text.split(",") if x != ""]
+def _parse_subset(text, upper):
+    """Comma-separated indices, each in 1..upper."""
+    try:
+        out = [int(x) for x in text.split(",") if x != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
+    for x in out:
+        if not 1 <= x <= upper:
+            raise argparse.ArgumentTypeError(f"index {x} is not in 1..{upper}")
+    return out
+
+
+def _parse_vectors(text):
+    """Semicolon-separated vectors of comma-separated rationals."""
+    try:
+        return [tuple(Fraction(x) for x in chunk.split(","))
+                for chunk in text.split(";") if chunk]
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a list of rational vectors: {text!r}") from None
 
 
 def _datum(args):
@@ -132,31 +103,23 @@ def _classical_catalog(args):
     if name == "basic-trig":
         return basic_trig_r(datum)
     if name == "r-l":
-        roots = []
-        for chunk in (args.roots or "").split(";"):
-            if chunk:
-                roots.append(tuple(Fraction(x) for x in chunk.split(",")))
-        return classical_r_zero_coupling(datum, roots)
+        return classical_r_zero_coupling(datum, _parse_vectors(args.roots))
     if name == "r-eps-X":
-        return classical_r_trig_X(datum, [x - 1 for x in _parse_subset(args.X)])
+        return classical_r_trig_X(datum, [x - 1 for x in _parse_subset(args.X, datum.rank)])
     if name == "appA":
-        gamma1 = [x - 1 for x in _parse_subset(args.gamma1)]
-        gamma2 = [x - 1 for x in _parse_subset(args.gamma2)]
+        gamma1 = [x - 1 for x in _parse_subset(args.gamma1, datum.rank)]
+        gamma2 = [x - 1 for x in _parse_subset(args.gamma2, datum.rank)]
         tau = dict(zip(gamma1, gamma2))
-        l_basis = []
-        for chunk in (args.l_basis or "").split(";"):
-            if chunk:
-                l_basis.append(tuple(Fraction(x) for x in chunk.split(",")))
-        triple = BDTriple(datum, gamma1, gamma2, tau, l_basis)
+        triple = BDTriple(datum, gamma1, gamma2, tau, _parse_vectors(args.l_basis))
         return appendixA_r(triple)
     raise argparse.ArgumentTypeError(f"unknown classical catalog name {name}")
 
 
 def _quantum_catalog(args):
     if args.name == "R-X":
-        return quantum_R_X(args.n, _parse_subset(args.X))
+        return quantum_R_X(args.n, _parse_subset(args.X, args.n))
     if args.name == "R-eps-X":
-        return quantum_R_eps_X(args.n, _parse_subset(args.X))
+        return quantum_R_eps_X(args.n, _parse_subset(args.X, args.n))
     if args.name == "gl-closed-form":
         j, r = glN_closed_forms(args.n, args.quantum)
         return r if args.part == "R" else j
@@ -190,20 +153,23 @@ def cmd_catalog(args):
 
 
 def _module(datum, spec, quantum):
+    v = vector_rep(datum, quantum)
     if spec == "vec":
-        return vector_rep(datum, quantum)
-    if spec.startswith("sym"):
-        return sym_power(vector_rep(datum, quantum), int(spec[3:]))
-    if spec.startswith("ext"):
-        return ext_power(vector_rep(datum, quantum), int(spec[3:]))
-    raise argparse.ArgumentTypeError(f"unknown module spec {spec}")
+        return v
+    kind, k = spec[:3], spec[3:]
+    if kind not in ("sym", "ext") or not k.isdecimal() or \
+            (kind == "ext" and int(k) > v.dim):
+        raise argparse.ArgumentTypeError(
+            f"unknown module spec {spec!r}: want vec, sym<k> or ext<k> with k <= {v.dim}")
+    return (sym_power if kind == "sym" else ext_power)(v, int(k))
 
 
 def cmd_fusion(args):
     datum = _datum(args)
-    specs = (args.modules or "vec,vec").split(",")
-    m1 = _module(datum, specs[0], args.quantum)
-    m2 = _module(datum, specs[1], args.quantum)
+    specs = args.modules.split(",")
+    if len(specs) != 2:
+        raise argparse.ArgumentTypeError(f"--modules {args.modules!r} is not two specs")
+    m1, m2 = (_module(datum, spec, args.quantum) for spec in specs)
     payload = {"schema": serialize.SCHEMA, "kind": "fusion-result"}
     status = EXIT_OK
     if args.method in ("exchange", "both"):
@@ -264,6 +230,8 @@ def _suite_case(case):
 
 def cmd_verify_suite(args):
     """QDYBE + Hecke for every X subset of {1..n}, both quantum families."""
+    if args.n < 2:
+        raise PreconditionError(f"--n {args.n} checks no family; need n >= 2")
     cases = []
     for n in range(2, args.n + 1):
         subsets = []
@@ -272,7 +240,10 @@ def cmd_verify_suite(args):
         for subset in subsets:
             cases.append(("R-X", n, subset))
             cases.append(("R-eps-X", n, subset))
-    workers = int(os.environ.get("DYBAX_WORKERS", "1"))
+    text = os.environ.get("DYBAX_WORKERS", "1")
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"DYBAX_WORKERS={text!r} is not a positive integer")
+    workers = min(int(text), os.cpu_count() or 1)
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
@@ -287,6 +258,9 @@ def cmd_verify_suite(args):
 
 
 def cmd_limit(args):
+    least = 1 if args.check_eq4 else 0     # --check-eq4 reads the order-gamma term
+    if args.order < least:
+        raise argparse.ArgumentTypeError(f"--order {args.order} is below {least}")
     op = _quantum_catalog(args)
     mats = classical_limit(op, args.order)
     payload = serialize.gamma_series_json(mats, name=f"{args.name} gamma-series")
@@ -321,11 +295,18 @@ def cmd_shapovalov(args):
 
 def cmd_macdonald(args):
     if args.action == "operator":
+        if not 1 <= args.r <= args.n:
+            raise argparse.ArgumentTypeError(f"--r {args.r} is not in 1..{args.n}")
         op = macdonald_operator(args.n, args.r, args.m)
         _emit(args, serialize.diffop_json(op, f"M_{args.r} (n={args.n}, m={args.m})"))
         return EXIT_OK
     if args.action == "polynomial":
-        mu = tuple(int(x) for x in args.mu.split(","))
+        parts = args.mu.split(",")
+        mu = tuple(int(x) for x in parts if x.strip().isdecimal())
+        if len(mu) != len(parts) or len(mu) > args.n or \
+                list(mu) != sorted(mu, reverse=True):
+            raise argparse.ArgumentTypeError(
+                f"--mu {args.mu!r} is not a partition with at most {args.n} parts")
         coeffs = macdonald_polynomial(args.n, mu, args.m)
         payload = {"schema": serialize.SCHEMA, "kind": "macdonald-polynomial",
                    "mu": list(mu), "m": args.m,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import Mat
+from .linalg import Mat, kron
 from .reps import TensorIndex, constant_R, sym_power, vector_rep
 from .rootdata import RootDatumError, build_type_A, weight_add, weight_neg, weight_sub
 from .scalars import quantum_aux_ctx
@@ -180,32 +180,6 @@ def fusion_exchange_construction(m1, m2, _slices=None):
     return DynOp([m1, m2], out)
 
 
-def composite_expectation(m1, m2, w_index, v_index, _slices=None):
-    """<Phi^{w,v}> in M1 (x) M2: the expectation value of the composition
-    Phi^w_(lambda - wt v) Phi^v_lambda, as a sparse {(i, j): Scalar}.
-
-    Only the top Verma coefficient of the outer intertwiner survives, so the
-    outer factor reduces to lowering-operator products acting on w."""
-    datum, ctx = m1.datum, m1.ctx
-    slices = _slices if _slices is not None else _SliceCache()
-    depth = height_spread(m2)
-    offset = weight_neg(m2.weights[v_index])
-    sl = slices.get_slice(datum, offset, depth, m1.quantum)
-    phi = solve_intertwiner(sl, m2, v_index)
-    out = {}
-    for (key, u), c in phi.image.items():
-        if c.is_zero:
-            continue
-        lowered = _lowering_product(m1, sl, key)
-        for (r, cc, vv) in lowered.entries():
-            if cc == w_index:
-                cell = (r, u)
-                cur = out.get(cell)
-                val = c * vv
-                out[cell] = val if cur is None else cur + val
-    return {cell: v for cell, v in out.items() if not v.is_zero}
-
-
 def _lowering_product(module, slice_, key):
     """rho(f_letters(key)) as a matrix on the module."""
     letters = key_letters(slice_, key)
@@ -261,23 +235,15 @@ def _strip_constant(m1, m2):
 
 def _c_matrix(m1, m2):
     """sum over positive roots of e_-alpha (x) e_alpha on M1 (x) M2."""
-    datum, ctx = m1.datum, m1.ctx
+    datum = m1.datum
     factors = [m1, m2]
     total = None
     for alpha in datum.positive_roots:
         a1 = m1.root_action(alpha, negative=True)
         a2 = m2.root_action(alpha, negative=False)
-        term = _kron(a1, a2, ctx)
+        term = kron(a1, a2)
         total = term if total is None else total + term
     return DynOp(factors, total)
-
-
-def _kron(a, b, ctx):
-    out = Mat(a.nrows * b.nrows, a.ncols * b.ncols, ctx)
-    for (i1, j1, v1) in a.entries():
-        for (i2, j2, v2) in b.entries():
-            out.set(i1 * b.nrows + i2, j1 * b.ncols + j2, v1 * v2)
-    return out
 
 
 def abrr_fusion(m1, m2):
@@ -455,7 +421,7 @@ def _universal_r0_coefficients(depth):
     for k in range(1, depth + 1):
         f_pow = f_mat * f_pow
         e_pow = e_mat * e_pow
-        recon = recon + _kron(f_pow, e_pow, ctx) * d[k]
+        recon = recon + kron(f_pow, e_pow) * d[k]
     if not (recon - r021.mat).is_zero:
         raise FusionError("universal R0 is not of scalar f^k (x) e^k form")
     return {k: v for k, v in d.items()}

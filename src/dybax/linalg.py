@@ -1,13 +1,21 @@
 """Small exact matrices over a Scalar context: products, solves, kernels.
 
-Matrices here are sparse row-major dictionaries of Scalars.  Everything is
-exact Gaussian elimination over the fraction field.  `Mat.solve` is the one
-Gauss-Jordan routine for linear systems: it reduces [A | B] once for a whole
-block B of right-hand sides, so restricting an operator to a submodule
-(every column of the restriction at once), `Mat.inverse` (B = 1) and
-`solve_dense` (one column) share a single elimination.  Sizes in this
-package stay below a few hundred rows, so no pivoting strategy beyond
-"first nonzero" is needed.
+Matrices here are sparse row-major dictionaries of Scalars.  Every exact
+elimination in the package is the one sparse Gauss-Jordan kernel below: a
+forward pass `_forward` and a back-substitution to reduced row echelon form
+`rref`, on rows {col: value} of any field whose elements support `/`, `*`,
+`-` and truthiness (Scalar and Fraction alike).  Its callers:
+
+- `Mat.solve` reduces [A | B] once for a whole block B of right-hand sides;
+  restricting an operator to a submodule, `Mat.inverse` (B = 1) and
+  `solve_dense` (one column) all go through it;
+- `kernel_basis` reads the kernel off the full RREF;
+- `rank_of` counts the pivots of the forward pass alone;
+- the catalog's rational solves (span test, orthocomplement, Gram inverse,
+  the r_0 equation) call `rank_of`, `kernel_basis` and `rref`.
+
+Sizes in this package stay below a few hundred rows, so no pivoting
+strategy beyond "first nonzero" is needed.
 """
 
 from __future__ import annotations
@@ -120,14 +128,6 @@ class Mat:
             out.set(j, i, v)
         return out
 
-    def first_nonzero(self):
-        """Smallest (row, col) with a nonzero entry, or None."""
-        best = None
-        for i, j, v in self.entries():
-            if not v.is_zero and (best is None or (i, j) < best[:2]):
-                best = (i, j, v)
-        return best
-
     def inverse(self):
         if self.nrows != self.ncols:
             raise ValueError("not square")
@@ -139,67 +139,94 @@ class Mat:
     def solve(self, rhs):
         """The unique X with self * X == rhs, for all columns of rhs at once.
 
-        [self | rhs] is brought to reduced row echelon form by one sparse
-        Gauss-Jordan pass.  Raises ZeroDivisionError if a zero row of self
-        meets a nonzero entry of rhs in any column, or if self has a kernel
-        (overdetermined systems are fine when consistent).
+        [self | rhs] is brought to reduced row echelon form by `rref`.
+        Raises ZeroDivisionError if a zero row of self meets a nonzero entry
+        of rhs in any column, or if self has a kernel (overdetermined
+        systems are fine when consistent).
         """
         if rhs.nrows != self.nrows:
             raise ValueError("shape mismatch")
         n = self.ncols
-        a = []
+        rows = []
         for i in range(self.nrows):
-            row = {j: v for j, v in self.rows.get(i, {}).items() if not v.is_zero}
-            row.update((n + j, v) for j, v in rhs.rows.get(i, {}).items()
-                       if not v.is_zero)
-            a.append(row)
-        rank = 0
-        for col in range(n):
-            piv = next((r for r in range(rank, len(a)) if col in a[r]), None)
-            if piv is None:
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            p = a[rank][col]
-            prow = a[rank] = {j: x / p for j, x in a[rank].items()}
-            others = [(j, y) for j, y in prow.items() if j != col]
-            for r, row in enumerate(a):
-                f = row.get(col)
-                if f is None or r == rank:
-                    continue
-                del row[col]
-                for j, y in others:
-                    v = row[j] - f * y if j in row else -(f * y)
-                    if v.is_zero:
-                        del row[j]
-                    else:
-                        row[j] = v
-            rank += 1
-        if any(a[rank:]):
+            row = {j: v for j, v in self.rows.get(i, {}).items() if v}
+            row.update((n + j, v) for j, v in rhs.rows.get(i, {}).items() if v)
+            rows.append(row)
+        pivots, rest = rref(rows, n)
+        if rest:
             raise ZeroDivisionError("inconsistent linear system")
-        if rank < n:
+        if len(pivots) < n:
             raise ZeroDivisionError("underdetermined linear system")
-        # full column rank: row i holds pivot i, so its other entries are X's row i
+        # full column rank: pivot i sits in column i, so its other entries
+        # are X's row i
         out = Mat(n, rhs.ncols, self.ctx)
-        for i in range(n):
-            sol = {j - n: v for j, v in a[i].items() if j >= n}
+        for i, (_, prow) in enumerate(pivots):
+            sol = {j - n: v for j, v in prow.items() if j >= n}
             if sol:
                 out.rows[i] = sol
         return out
 
-    def apply(self, vec):
-        """Matrix times a sparse column vector {index: Scalar}."""
-        out = {}
-        for i, row in self.rows.items():
-            acc = None
-            for k, a in row.items():
-                b = vec.get(k)
-                if b is None or b.is_zero:
-                    continue
-                term = a * b
-                acc = term if acc is None else acc + term
-            if acc is not None and not acc.is_zero:
-                out[i] = acc
-        return out
+
+def _subtract(row, f, terms):
+    """row -= f * terms in place, dropping entries that cancel."""
+    for j, y in terms:
+        if j in row:
+            v = row[j] - f * y
+            if v:
+                row[j] = v
+            else:
+                del row[j]
+        else:
+            row[j] = -(f * y)
+
+
+def _forward(rows, ncols):
+    """Forward pass of the elimination, in place on sparse rows {col: value}.
+
+    Column by column below ncols, the first remaining row with an entry in
+    that column becomes the next pivot row: it is divided by the entry and
+    eliminated from the remaining rows.  Returns (pivots, rest): the
+    (col, row) pairs in column order, each row with a unit pivot and no
+    entry in an earlier pivot column, and the nonzero rows left over, which
+    have no entry below ncols.
+    """
+    todo = [r for r in rows if r]
+    pivots = []
+    for col in range(ncols):
+        k = next((k for k, r in enumerate(todo) if col in r), None)
+        if k is None:
+            continue
+        prow = todo.pop(k)
+        p = prow[col]
+        prow = {j: x / p for j, x in prow.items()}
+        others = [(j, y) for j, y in prow.items() if j != col]
+        for row in todo:
+            f = row.pop(col, None)
+            if f is not None:
+                _subtract(row, f, others)
+        pivots.append((col, prow))
+    return pivots, [r for r in todo if r]
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form of sparse rows {col: value}, pivoting only in
+    columns below ncols: `_forward`, then back-substitution, so that no
+    pivot row has an entry in another pivot's column.  The rows are consumed;
+    returns (pivots, rest) as `_forward` does.
+    """
+    pivots, rest = _forward(rows, ncols)
+    for k in range(len(pivots) - 1, 0, -1):
+        col, prow = pivots[k]
+        others = [(j, y) for j, y in prow.items() if j != col]
+        for _, row in pivots[:k]:
+            f = row.pop(col, None)
+            if f is not None:
+                _subtract(row, f, others)
+    return pivots, rest
+
+
+def _sparse(dense_rows):
+    return [{j: v for j, v in enumerate(r) if v} for r in dense_rows]
 
 
 def solve_dense(ctx, rows, rhs):
@@ -219,59 +246,33 @@ def solve_dense(ctx, rows, rhs):
 
 
 def kernel_basis(ctx, rows, ncols):
-    """Exact kernel of the matrix given by dense rows; returns RREF-normalized
-    basis vectors (deterministic)."""
-    m = len(rows)
-    a = [list(r) for r in rows]
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if not a[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        a[rank] = [x / p for x in a[rank]]
-        for r in range(m):
-            if r != rank and not a[r][col].is_zero:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        pivots.append(col)
-        rank += 1
-    free = [c for c in range(ncols) if c not in pivots]
+    """Exact kernel of the matrix given by dense rows: one basis vector per
+    free column of the RREF, 1 there and minus the RREF entries at the
+    pivots (deterministic, since the RREF is unique)."""
+    pivots, _ = rref(_sparse(rows), ncols)
+    pivot_cols = {col for col, _ in pivots}
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivot_cols:
+            continue
         v = [ctx.zero] * ncols
         v[fc] = ctx.one
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
+        for pc, prow in pivots:
+            if fc in prow:
+                v[pc] = -prow[fc]
         basis.append(v)
     return basis
 
 
 def rank_of(rows, ncols):
-    """Rank over the fraction field (destructive on a copy)."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, m):
-            if not a[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        a[rank], a[piv] = a[piv], a[rank]
-        p = a[rank][col]
-        a[rank] = [x / p for x in a[rank]]
-        for r in range(rank + 1, m):
-            if not a[r][col].is_zero:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-        rank += 1
-    return rank
+    """Rank over the fraction field: the forward pass alone."""
+    return len(_forward(_sparse(rows), ncols)[0])
+
+
+def kron(a, b):
+    """Kronecker product a (x) b: row (i1, i2) is i1 * b.nrows + i2."""
+    out = Mat(a.nrows * b.nrows, a.ncols * b.ncols, a.ctx)
+    for (i1, j1, v1) in a.entries():
+        for (i2, j2, v2) in b.entries():
+            out.set(i1 * b.nrows + i2, j1 * b.ncols + j2, v1 * v2)
+    return out

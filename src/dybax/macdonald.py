@@ -17,7 +17,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .fusion import (
-    DynOp,
     exchange_matrix,
     universal_sl2_fusion,
 )
@@ -495,9 +494,6 @@ class TraceSeries:
         self.mu_exp = Fraction(mu_exp)
         self.val = val
         self.coeffs = list(coeffs)
-
-    def order_window(self):
-        return self.val, self.val + len(self.coeffs) - 1
 
     def coeff_at(self, k):
         i = k - self.val

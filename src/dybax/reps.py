@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .linalg import Mat, kernel_basis
+from .linalg import Mat, kernel_basis, kron
 from .rootdata import weight_add, weight_neg
 
 
@@ -197,8 +197,7 @@ def tensor(m1, m2):
         e2, f2 = m2.e(i), m2.f(i)
         for (r, c, v) in e1.entries():
             for j in range(m2.dim):
-                scale = v if not quantum else v
-                e.add_to(idx.flat((r, j)), idx.flat((c, j)), scale)
+                e.add_to(idx.flat((r, j)), idx.flat((c, j)), v)
         for (r, c, v) in e2.entries():
             for j in range(m1.dim):
                 scale = v if not quantum else v * m1.k_power(i, j, inverse=True)
@@ -291,12 +290,12 @@ def constant_R(m1, m2):
     if k1 == "sub":
         parent, embed = m1.provenance[1], m1.provenance[2]
         big = constant_R(parent, m2)
-        emb = _embed_tensor(embed, Mat.identity(m2.dim, ctx), ctx)
+        emb = kron(embed, Mat.identity(m2.dim, ctx))
         return _restrict(big, emb)
     if k2 == "sub":
         parent, embed = m2.provenance[1], m2.provenance[2]
         big = constant_R(m1, parent)
-        emb = _embed_tensor(Mat.identity(m1.dim, ctx), embed, ctx)
+        emb = kron(Mat.identity(m1.dim, ctx), embed)
         return _restrict(big, emb)
     if k1 == "tensor":
         a, b = m1.provenance[1], m1.provenance[2]
@@ -354,15 +353,6 @@ def _place_R(r, dims, slot_a, slot_b, ctx):
             rec(pos + 1, tuple(base))
 
     rec(0, tuple([0] * len(dims)))
-    return out
-
-
-def _embed_tensor(e1, e2, ctx):
-    """Kronecker product of two embedding matrices."""
-    out = Mat(e1.nrows * e2.nrows, e1.ncols * e2.ncols, ctx)
-    for (i1, j1, v1) in e1.entries():
-        for (i2, j2, v2) in e2.entries():
-            out.set(i1 * e2.nrows + i2, j1 * e2.ncols + j2, v1 * v2)
     return out
 
 
@@ -504,20 +494,3 @@ def _coroot_diag(datum, i):
         if a == b:
             diag[a] += v
     return diag
-
-
-def specialize_classical(m):
-    """Set s = 1 in a quantum module, returning its classical counterpart data
-    (matrices over the classical field) for the s -> 1 comparison tests."""
-    datum = m.datum
-    ctx = datum.classical_field()
-    out = {}
-    for i in range(datum.rank):
-        for kind in ("e", "f"):
-            src = m.e(i) if kind == "e" else m.f(i)
-            dst = Mat(m.dim, m.dim, ctx)
-            for (r, c, v) in src.entries():
-                val = v.subs({"s": v.ctx.one}).to_fraction()
-                dst.set(r, c, ctx.from_fraction(val))
-            out[(kind, i)] = dst
-    return out

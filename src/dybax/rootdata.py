@@ -39,11 +39,6 @@ def mat_add(x, y, cy=1):
     return out
 
 
-def mat_scale(x, c):
-    c = Fraction(c)
-    return {k: c * v for k, v in x.items()} if c else {}
-
-
 def mat_mul(x, y):
     out = {}
     for (a, b), v in x.items():
@@ -60,10 +55,6 @@ def mat_mul(x, y):
 
 def mat_bracket(x, y):
     return mat_add(mat_mul(x, y), mat_mul(y, x), -1)
-
-
-def mat_key(x):
-    return tuple(sorted(x.items()))
 
 
 def weight_add(a, b):
@@ -259,15 +250,6 @@ class RootDatum:
             if k:
                 out = out * ctx.t(a) ** int(k)
         return out
-
-    def q_theta_exponential(self, ctx, mu):
-        """q^(2*theta) on a weight-mu vector: q^(2(lambda+rho,mu)-(mu,mu))."""
-        const2 = 2 * self.pairing(self.rho, mu) - self.pairing(mu, mu)
-        k2 = 2 * Fraction(const2)
-        if k2.denominator != 1:
-            raise RootDatumError("theta exponent not Laurent in s")
-        return self.q_lambda_pairing(ctx, mu, factor=2) * ctx.s ** int(k2)
-
 
 def build_type_A(n, flavor="gl"):
     """Construct the type-A root datum for gl_n or sl_n (n >= 2)."""

@@ -108,14 +108,6 @@ class Context:
             return value
         return self.from_fraction(value)
 
-    def q_power(self, k2):
-        """q^(k2/2) = s^k2 as a Scalar; k2 must be an integer (quantum mode)."""
-        k2 = Fraction(k2)
-        if k2.denominator != 1:
-            raise UnsupportedShiftError(f"q^({k2}/2) is not Laurent in s")
-        return self.s ** int(k2)
-
-
 @lru_cache(maxsize=None)
 def classical_ctx(n):
     return Context(CLASSICAL, n)
@@ -234,8 +226,8 @@ class Scalar:
                 vals.append(_to_frac_element(tgt, tgt(mapping[name])))
             else:
                 vals.append(_to_frac_element(tgt, tgt.gen(name)))
-        num = _eval_poly_into(tgt, self.f.numer, vals)
-        den = _eval_poly_into(tgt, self.f.denom, vals)
+        num = _eval_poly(tgt, self.f.numer, vals)
+        den = _eval_poly(tgt, self.f.denom, vals)
         if not den:
             raise ZeroDivisionError("conversion produced a zero denominator")
         return Scalar(tgt, num / den)
@@ -354,21 +346,9 @@ class Scalar:
         return _fraction_text(self.ctx, self.f)
 
 
-def _eval_poly(ctx, poly, vals):
-    """Evaluate a PolyElement at field-element values (monomial by monomial)."""
-    fld = ctx.field
-    out = fld.zero
-    for monom, coeff in poly.terms():
-        term = fld(coeff)
-        for g, e in zip(vals, monom):
-            if e:
-                term = term * g ** e
-        out = out + term
-    return out
-
-
-def _eval_poly_into(tgt, poly, vals):
-    """Like _eval_poly but lands in a different context's field."""
+def _eval_poly(tgt, poly, vals):
+    """Evaluate a PolyElement at field-element values of the context tgt
+    (monomial by monomial); the result lies in tgt's field."""
     fld = tgt.field
     out = fld.zero
     for monom, coeff in poly.terms():
@@ -530,10 +510,6 @@ class GammaSeries:
     def __repr__(self):
         parts = [f"({c})*g^{k}" for k, c in enumerate(self._c) if c]
         return " + ".join(parts) if parts else "0"
-
-
-def scalar_constant(ctx, value):
-    return ctx.from_fraction(value)
 
 
 # -- canonical text -------------------------------------------------------

@@ -262,9 +262,6 @@ class VermaSliceC:
         x = self.datum.root_vector(alpha, negative=neg)
         return self.act_matrix(x, vec)
 
-    def act_lowering_root(self, root_idx, vec):
-        return self._prepend_f(root_idx, vec)
-
     # -- shapovalov -----------------------------------------------------------
 
     def pairing(self, m1, m2):

@@ -200,6 +200,14 @@ def test_appendixA_nontrivial_triple():
     assert unitarity_check(r, 1).exact_zero
 
 
+def test_appendixA_rejects_dependent_l_basis():
+    datum = build_type_A(3, "gl")
+    # (2, 1, 0) = (1, 0, -1) + (1, 1, 1): admissible, but the form on l is degenerate
+    tri = BDTriple(datum, [0], [1], {0: 1}, [(1, 0, -1), (1, 1, 1), (2, 1, 0)])
+    with pytest.raises(InvalidTripleError, match="degenerate"):
+        appendixA_r(tri)
+
+
 def test_appendixA_identity_triple_reduces_to_thm42():
     datum = build_type_A(3, "gl")
     tri = BDTriple(datum, [0, 1], [0, 1], {0: 0, 1: 1},

@@ -1,4 +1,8 @@
 import json
+import multiprocessing
+import os
+
+import pytest
 
 from dybax.cli import main
 
@@ -138,6 +142,75 @@ def test_hecke_rep_with_one_slot_is_a_precondition_violation(capsys):
     assert code == 3 and out == ""  # p = 1 checks no relation
 
 
+def test_verify_suite_below_rank_two_is_a_precondition_violation(capsys):
+    code, out = run_cli(capsys, ["verify-suite", "--n", "1"])
+    assert code == 3 and out == ""  # n = 1 checks no family
+
+
 def test_shapovalov_negative_depth_is_a_precondition_violation(capsys):
     code, out = run_cli(capsys, ["shapovalov", "--depth", "-1"])
     assert code == 3 and out == ""  # depth -1 compares no Gram entry
+
+
+@pytest.mark.parametrize("line,named", [
+    ("module --n 2 --spec symx", "symx"),
+    ("catalog R-X --n 3 --X a", "'a'"),
+    ("fusion --n 2 --modules vec", "'vec'"),
+    ("macdonald polynomial --mu 1,0,0 --n 2", "1,0,0"),
+    ("macdonald operator --n 3 --r 5 --m 1", "5"),
+    ("limit --catalog gl-closed-form --n 2 --order -1", "-1"),
+    ("limit --catalog gl-closed-form --n 2 --order 0 --check-eq4", "0"),
+    # accepted silently before: an index outside the rank, an empty module
+    ("catalog R-X --n 3 --X 1,7", "7"),
+    ("catalog r-eps-X --n 3 --X 5", "5"),
+    ("module --n 3 --spec ext4", "ext4"),
+    ("catalog r-l --n 3 --roots a", "'a'"),
+    ("catalog appA --n 3 --gamma1 1 --gamma2 2 --l-basis 1,0,x", "1,0,x"),
+])
+def test_malformed_input_is_a_usage_error(capsys, line, named):
+    code = main(line.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert named in captured.err
+
+
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(x) for x in items]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Pool sizes verify-suite asks for, on a 4-core machine; starts no process."""
+    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    return _RecordingPool.sizes
+
+
+@pytest.mark.parametrize("value,sizes", [("1000", [4]), ("3", [3]), ("1", [])])
+def test_dybax_workers_is_capped_at_the_core_count(capsys, monkeypatch, pool_sizes,
+                                                    value, sizes):
+    monkeypatch.setenv("DYBAX_WORKERS", value)
+    code, _ = run_cli(capsys, ["verify-suite", "--n", "2"])
+    assert code == 0 and pool_sizes == sizes
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
+def test_dybax_workers_must_be_a_positive_integer(capsys, monkeypatch, pool_sizes,
+                                                  value):
+    monkeypatch.setenv("DYBAX_WORKERS", value)
+    code, out = run_cli(capsys, ["verify-suite", "--n", "2"])
+    assert code == 2 and out == "" and pool_sizes == []

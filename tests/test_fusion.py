@@ -12,7 +12,7 @@ from dybax.fusion import (
     universal_sl2_at_zero,
     universal_sl2_fusion,
 )
-from dybax.reps import ext_power, sym_power, tensor, trivial_rep, vector_rep
+from dybax.reps import TensorIndex, ext_power, sym_power, tensor, trivial_rep, vector_rep
 from dybax.rootdata import build_type_A
 from dybax.verma import verma_slice
 
@@ -104,11 +104,14 @@ def test_fusion_with_trivial_factor():
 
 
 def test_composite_expectation():
-    # <Phi^{v+,v-}> = v+ (x) v- - 1/(lambda+1) v- (x) v+
-    from dybax.fusion import composite_expectation
+    # <Phi^{v+,v-}> = v+ (x) v- - 1/(lambda+1) v- (x) v+: column (w, v) = (0, 1)
+    # of J
     datum = build_type_A(2, "sl")
     v = vector_rep(datum)
-    out = composite_expectation(v, v, 0, 1)
+    idx = TensorIndex([v.dim, v.dim])
+    j = fusion_exchange_construction(v, v)
+    out = {idx.multi(r): val for (r, c, val) in j.mat.entries()
+           if c == idx.flat((0, 1))}
     ctx = v.ctx
     lam = ctx.lam(0)
     assert out[(0, 1)] == ctx.one

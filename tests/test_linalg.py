@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
-from dybax.linalg import Mat, solve_dense
+from dybax.catalog import RATIONALS
+from dybax.linalg import Mat, kernel_basis, kron, rank_of, rref, solve_dense
 from dybax.reps import (
     ConventionError,
-    _embed_tensor,
     _restrict,
     constant_R,
     ext_power,
@@ -129,9 +133,9 @@ def test_restrict_generators_and_constant_R(n, kind):
     for i in range(v.datum.rank):
         assert embed * sub.e(i) == big.e(i) * embed
         assert embed * sub.f(i) == big.f(i) * embed
-    emb = _embed_tensor(embed, Mat.identity(v.dim, ctx), ctx)
+    emb = kron(embed, Mat.identity(v.dim, ctx))
     assert emb * constant_R(sub, v) == constant_R(big, v) * emb
-    emb = _embed_tensor(Mat.identity(v.dim, ctx), embed, ctx)
+    emb = kron(Mat.identity(v.dim, ctx), embed)
     assert emb * constant_R(v, sub) == constant_R(v, big) * emb
 
 
@@ -140,6 +144,79 @@ def test_restrict_rejects_operator_leaving_the_submodule():
     ctx = v.ctx
     s2 = sym_power(v, 2)
     _, _, embed, _ = s2.provenance
-    e1_left = _embed_tensor(v.e(0), Mat.identity(v.dim, ctx), ctx)
+    e1_left = kron(v.e(0), Mat.identity(v.dim, ctx))
     with pytest.raises(ConventionError, match="does not preserve"):
         _restrict(e1_left, embed)
+
+
+# -- the elimination kernel on Fraction and Q(s, t) matrices ------------------
+
+_ST = quantum_ctx(1)
+_S, _T = _ST.s, _ST.t(0)
+# (ctx for kernel_basis, entry pool, map into a sympy domain, that domain);
+# zeros are drawn often so that ranks drop
+FIELDS = {
+    "QQ": (RATIONALS,
+           [Fraction(x) for x in (0, 0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3))],
+           lambda x: QQ(x.numerator, x.denominator), QQ),
+    "Q(s,t)": (_ST,
+               [_ST.zero, _ST.zero, _ST.zero, _ST.one, _S, _T, _S - _T, _S * _T,
+                1 / (_S + 1), _T / _S],
+               lambda x: x.f, _ST.field.to_domain()),
+}
+
+
+@st.composite
+def _matrix(draw, field):
+    """Dense rows over the field, 1..4 by 1..4, sometimes with one more row
+    that is a combination of two others."""
+    _, pool, _, _ = FIELDS[field]
+    ncols = draw(st.integers(1, 4))
+    entry = st.sampled_from(pool)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    if len(rows) > 1 and draw(st.booleans()):
+        c = draw(entry)
+        rows.append([x - c * y for x, y in zip(rows[0], rows[-1])])
+    return rows, ncols
+
+
+def _reference_rank(field, rows, ncols):
+    """Rank by sympy's dense DomainMatrix, an independent elimination."""
+    _, _, to_domain, domain = FIELDS[field]
+    return DomainMatrix([[to_domain(x) for x in r] for r in rows],
+                        (len(rows), ncols), domain).rank()
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rank_matches_dense_reference(field, data):
+    rows, ncols = data.draw(_matrix(field))
+    assert rank_of(rows, ncols) == _reference_rank(field, rows, ncols)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_kernel_basis_is_annihilated_and_complements_the_rank(field, data):
+    rows, ncols = data.draw(_matrix(field))
+    ctx = FIELDS[field][0]
+    basis = kernel_basis(ctx, rows, ncols)
+    assert len(basis) == ncols - _reference_rank(field, rows, ncols)
+    for v in basis:
+        for row in rows:
+            assert not sum((a * b for a, b in zip(row, v)), ctx.zero)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rref_is_invariant_under_row_permutation(field, data):
+    rows, ncols = data.draw(_matrix(field))
+    perm = data.draw(st.permutations(range(len(rows))))
+
+    def reduced(dense):
+        return rref([{j: v for j, v in enumerate(r) if v} for r in dense], ncols)
+
+    assert reduced(rows) == reduced([rows[i] for i in perm])
