@@ -334,6 +334,11 @@ def cmd_macdonald(args):
         _emit(args, payload)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.action == "trace-residual":
+        if args.depth < 1:
+            raise PreconditionError(f"depth {args.depth} has no trace series; need depth >= 1")
+        if min(args.order, args.biorder) < 0:
+            raise PreconditionError(f"--order {args.order} --biorder {args.biorder} compares "
+                                    "no coefficient; need both >= 0")
         _, ok1 = mr_residual(args.depth, 2 * args.order)
         _, ok2 = mr_residual(args.depth, 2 * args.order, dual_side=True)
         bad = symmetry_residuals(args.depth, args.biorder)

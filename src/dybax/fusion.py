@@ -5,17 +5,17 @@ Two independent pipelines compute the fusion matrix J_{M1,M2}(lambda):
 * the exchange construction: solve for the intertwiner Phi^v with leading
   term x (x) v, compose with Phi^w and read off the expectation value
   (the top Verma coefficient);
-* the ABRR fixed point: classically the weight-graded linear solve of
-  [J, 1 (x) theta(lambda)] = (sum_alpha e_-alpha (x) e_alpha) J, quantumly
-  the stabilizing iteration T -> 1 + (Ad(1 (x) q^(2 theta)) - 1)^{-1}
-  ((R0^21)^{-1} - 1) T.
+* the ABRR equation J = 1 + D^{-1}(X J), solved grade by grade in the
+  height of the second-slot weight change.  Classically
+  X = sum_alpha e_-alpha (x) e_alpha and D is J -> [J, 1 (x) theta(lambda)];
+  quantumly X = (R0^21)^{-1} - 1 and D = Ad(1 (x) q^(2 theta)) - 1.
 
 Exchange matrices are J^{-1} J^21 classically and J^{-1} R^21 J^21
 quantumly, with the constant R-matrix assembled by quasitriangularity.
 
 The closed-form universal sl2 fusion coefficients live here as well, for
 any depth, with the quantum coefficients generated by running the ABRR
-recursion symbolically in q^lambda and q^h.
+recursion symbolically in q^lambda and q^h on the q-exponential R0.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Mat, kron
-from .reps import TensorIndex, constant_R, sym_power, vector_rep
-from .rootdata import RootDatumError, build_type_A, weight_add, weight_neg, weight_sub
+from .reps import TensorIndex, constant_R
+from .rootdata import weight_add, weight_neg, weight_sub
 from .scalars import quantum_aux_ctx
 from .verma import key_letters, solve_intertwiner, verma_slice
 
@@ -139,15 +139,7 @@ def height_spread(module):
     return datum.root_height(weight_sub(top, bot))
 
 
-class _SliceCache(dict):
-    def get_slice(self, datum, offset, depth, quantum):
-        key = (tuple(offset), depth, quantum)
-        if key not in self:
-            self[key] = verma_slice(datum, offset, depth, quantum)
-        return self[key]
-
-
-def fusion_exchange_construction(m1, m2, _slices=None):
+def fusion_exchange_construction(m1, m2):
     """J_{M1,M2}(lambda) on M1 (x) M2 via composed intertwiners.
 
     The column at w (x) v is the expectation value of Phi^w Phi^v: only the
@@ -157,13 +149,15 @@ def fusion_exchange_construction(m1, m2, _slices=None):
     datum, ctx = m1.datum, m1.ctx
     if m1.quantum != m2.quantum:
         raise FusionError("mixed classical/quantum fusion")
-    slices = _slices if _slices is not None else _SliceCache()
+    slices = {}
     depth = height_spread(m2)
     idx = TensorIndex([m1.dim, m2.dim])
     out = Mat(idx.size, idx.size, ctx)
     for j in range(m2.dim):
         offset = weight_neg(m2.weights[j])
-        sl = slices.get_slice(datum, offset, depth, m1.quantum)
+        sl = slices.get(offset)
+        if sl is None:
+            sl = slices[offset] = verma_slice(datum, offset, depth, m1.quantum)
         phi = solve_intertwiner(sl, m2, j)
         lowered_cache = {}
         for (key, u), c in phi.image.items():
@@ -208,131 +202,77 @@ def exchange_matrix(m1, m2, method="exchange", normalized=False):
     j21 = builder(m2, m1).flip21()
     out = j12.inverse()
     if m1.quantum:
-        rc = DynOp([m2, m1], constant_R(m2, m1)).flip21()
+        base = constant_R(m2, m1)
         if normalized:
-            rc = DynOp(rc.factors, rc.mat * (rc.ctx.one / _strip_constant(m2, m1)))
-        out = out * rc
+            base = base * (m1.ctx.one / _strip_cartan(m2, m1, base)[1])
+        out = out * DynOp([m2, m1], base).flip21()
     return out * j21
-
-
-def _strip_constant(m1, m2):
-    """The constant diagonal of R_{M1,M2} q^(-sum x_i (x) x_i)."""
-    datum, ctx = m1.datum, m1.ctx
-    base = constant_R(m1, m2)
-    idx = TensorIndex([m1.dim, m2.dim])
-    k2 = -2 * Fraction(datum.pairing(m1.weights[0], m2.weights[0]))
-    if k2.denominator != 1:
-        raise FusionError("non-integral Cartan exponent")
-    const = base[0, 0] * ctx.s ** int(k2)
-    for a in range(m1.dim):
-        for b in range(m2.dim):
-            k2 = -2 * Fraction(datum.pairing(m1.weights[a], m2.weights[b]))
-            entry = base[idx.flat((a, b)), idx.flat((a, b))] * ctx.s ** int(k2)
-            if not (entry - const).is_zero:
-                raise FusionError("stripped constant R has a non-constant diagonal")
-    return const
 
 
 def _c_matrix(m1, m2):
     """sum over positive roots of e_-alpha (x) e_alpha on M1 (x) M2."""
-    datum = m1.datum
-    factors = [m1, m2]
-    total = None
-    for alpha in datum.positive_roots:
-        a1 = m1.root_action(alpha, negative=True)
-        a2 = m2.root_action(alpha, negative=False)
-        term = kron(a1, a2)
-        total = term if total is None else total + term
-    return DynOp(factors, total)
+    total = Mat(m1.dim * m2.dim, m1.dim * m2.dim, m1.ctx)
+    for alpha in m1.datum.positive_roots:
+        total = total + kron(m1.root_action(alpha, negative=True),
+                             m2.root_action(alpha, negative=False))
+    return total
 
 
 def abrr_fusion(m1, m2):
-    """The ABRR fixed point evaluated on M1 (x) M2 (classical or quantum)."""
-    return _abrr_quantum(m1, m2) if m1.quantum else _abrr_classical(m1, m2)
+    """The ABRR fixed point J = 1 + D^{-1}(X J) on M1 (x) M2, solved by grade.
 
-
-def _abrr_classical(m1, m2):
+    X raises the second slot strictly, so (X J)[r, c] at grade
+    beta = wt_2(r) - wt_2(c) involves only entries of J of lower height:
+    for h = 1..spread every entry of height h is (X J)[r, c] / D(r, c).
+    X is sum_alpha e_-alpha (x) e_alpha classically and (R0^21)^{-1} - 1
+    quantumly; D is `_abrr_denominator`.
+    """
     datum, ctx = m1.datum, m1.ctx
     idx = TensorIndex([m1.dim, m2.dim])
-    spread = height_spread(m1) + height_spread(m2)
-    c_op = _c_matrix(m1, m2)
-    j = DynOp.identity([m1, m2])
-
-    def grade(r, c):
-        beta = weight_sub(m2.weights[idx.multi(r)[1]], m2.weights[idx.multi(c)[1]])
-        try:
-            return datum.root_height(beta), beta
-        except RootDatumError:
-            return None, beta
-
-    for h in range(1, spread + 1):
-        work = c_op.mat * j.mat
-        added = False
-        for (r, c, v) in work.entries():
-            if v.is_zero:
-                continue
-            ht, beta = grade(r, c)
-            if ht != h:
-                continue
+    if m1.quantum:
+        x = _r0_21(m1, m2).mat.inverse() - Mat.identity(idx.size, ctx)
+    else:
+        x = _c_matrix(m1, m2)
+    j = Mat.identity(idx.size, ctx)
+    for h in range(1, height_spread(m1) + height_spread(m2) + 1):
+        for (r, c, v) in (x * j).entries():
             mu = m2.weights[idx.multi(c)[1]]
-            denom = ctx.from_fraction(
-                datum.pairing(mu, beta) + datum.pairing(beta, beta) / 2
-                - datum.pairing(datum.rho, beta)) - datum.lambda_pairing(ctx, beta)
-            j.mat.add_to(r, c, v / denom)
-            added = True
-        if not added:
-            break
-    return j
+            beta = weight_sub(m2.weights[idx.multi(r)[1]], mu)
+            if datum.root_height(beta) == h:
+                j.set(r, c, v / _abrr_denominator(m1, mu, beta))
+    return DynOp([m1, m2], j)
 
 
-def _abrr_quantum(m1, m2):
+def _abrr_denominator(m1, mu, beta):
+    """The ABRR denominator at second-slot weight mu raised by beta:
+    (mu - rho - lambda, beta) + (beta, beta)/2 classically, and
+    q^(2(lambda + rho - mu, beta) - (beta, beta)) - 1 quantumly."""
     datum, ctx = m1.datum, m1.ctx
-    idx = TensorIndex([m1.dim, m2.dim])
-    spread = height_spread(m1) + height_spread(m2)
-    r0_21 = _r0_21(m1, m2)
-    w = r0_21.mat.inverse() - Mat.identity(idx.size, ctx)
-
-    def div_factor(r, c):
-        beta = weight_sub(m2.weights[idx.multi(r)[1]], m2.weights[idx.multi(c)[1]])
-        mu = m2.weights[idx.multi(c)[1]]
-        konst = (2 * datum.pairing(datum.rho, beta) - 2 * datum.pairing(mu, beta)
-                 - datum.pairing(beta, beta))
-        k2 = 2 * Fraction(konst)
-        if k2.denominator != 1:
-            raise FusionError("non-integral Ad exponent")
-        mult = datum.q_lambda_pairing(ctx, beta, factor=2) * ctx.s ** int(k2)
-        return mult - 1
-
-    t = Mat.identity(idx.size, ctx)
-    for step in range(spread + 2):
-        nxt = Mat.identity(idx.size, ctx)
-        prod = w * t
-        for (r, c, v) in prod.entries():
-            if v.is_zero:
-                continue
-            nxt.add_to(r, c, v / div_factor(r, c))
-        if nxt == t:
-            return DynOp([m1, m2], t)
-        t = nxt
-    raise FusionError("ABRR iteration failed to stabilize within its bound")
+    if not m1.quantum:
+        return ctx.from_fraction(
+            datum.pairing(mu, beta) + datum.pairing(beta, beta) / 2
+            - datum.pairing(datum.rho, beta)) - datum.lambda_pairing(ctx, beta)
+    k2 = 2 * Fraction(2 * datum.pairing(datum.rho, beta) - 2 * datum.pairing(mu, beta)
+                      - datum.pairing(beta, beta))
+    if k2.denominator != 1:
+        raise FusionError("non-integral Ad exponent")
+    return datum.q_lambda_pairing(ctx, beta, factor=2) * ctx.s ** int(k2) - 1
 
 
-def _r0_21(m1, m2):
-    """R0^21 on M1 (x) M2: flip of R_{M2,M1} q^{-sum x_i (x) x_i}, normalized
-    into 1 + (strictly triangular).
+def _strip_cartan(m1, m2, base):
+    """R_{M1,M2} q^(-sum x_i (x) x_i) for base = R_{M1,M2}, and the constant
+    on its diagonal.
 
     The pinned vector R-matrix carries the gl-type normalization (corner q);
     stripping with the invariant-form pairing leaves a constant diagonal,
-    which is divided out so that R0 has the 1 + U'_+ (x) U'_- shape the ABRR
-    iteration needs.
+    which is what `_r0_21` and the normalized exchange matrix divide out.
     """
     datum, ctx = m1.datum, m1.ctx
-    base = constant_R(m2, m1)
-    idx = TensorIndex([m2.dim, m1.dim])
+    idx = TensorIndex([m1.dim, m2.dim])
     qdiag = Mat(idx.size, idx.size, ctx)
-    for a in range(m2.dim):
-        for b in range(m1.dim):
-            k2 = -2 * Fraction(datum.pairing(m2.weights[a], m1.weights[b]))
+    for a in range(m1.dim):
+        for b in range(m2.dim):
+            k2 = -2 * Fraction(datum.pairing(m1.weights[a], m2.weights[b]))
             if k2.denominator != 1:
                 raise FusionError("non-integral Cartan exponent")
             qdiag.set(idx.flat((a, b)), idx.flat((a, b)), ctx.s ** int(k2))
@@ -341,7 +281,15 @@ def _r0_21(m1, m2):
     for k in range(idx.size):
         if not (raw[k, k] - const).is_zero:
             raise FusionError("stripped constant R has a non-constant diagonal")
-    return DynOp([m2, m1], raw * (ctx.one / const)).flip21()
+    return raw, const
+
+
+def _r0_21(m1, m2):
+    """R0^21 on M1 (x) M2: flip of R_{M2,M1} q^{-sum x_i (x) x_i}, divided by
+    its constant diagonal so that R0 has the 1 + U'_+ (x) U'_- shape the
+    ABRR equation needs."""
+    raw, const = _strip_cartan(m2, m1, constant_R(m2, m1))
+    return DynOp([m2, m1], raw * (m1.ctx.one / const)).flip21()
 
 
 # -- universal sl2 fusion ---------------------------------------------------
@@ -366,15 +314,18 @@ def universal_sl2_fusion(depth, quantum=False):
     """Terms (n, coefficient data) of the universal sl2 fusion to depth n<=N.
 
     The quantum coefficients are generated by the ABRR recursion run
-    symbolically, with the universal R0 coefficients d_k extracted from the
-    pinned vector R-matrix on S^k C^2 (x) S^k C^2.
+    symbolically, with R0^21 = 1 + sum_k d_k f^k (x) e^k and the
+    q-exponential coefficients d_k = q^(k(k-1)/2) (q - q^-1)^k / [k]_q!.
     """
     if not quantum:
         return tuple(UniversalSl2Term(n, False) for n in range(depth + 1))
     aux = quantum_aux_ctx(1, ("x",))
     s, t, x = aux.s, aux.t(0), aux.gen("x")
-    d = {k: v.convert(aux, {"s": aux.s, "t1": aux.t(0)})
-         for k, v in _universal_r0_coefficients(depth).items()}
+    q = s ** 2
+    d, q_factorial = [aux.one], aux.one
+    for k in range(1, depth + 1):
+        q_factorial = q_factorial * (q ** k - q ** -k) / (q - 1 / q)
+        d.append(q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / q_factorial)
     gs = [aux.one]
     for n in range(1, depth + 1):
         rhs = aux.zero
@@ -386,45 +337,6 @@ def universal_sl2_fusion(depth, quantum=False):
         lhs_factor = t ** (-2 * n) * x ** (2 * n) * s ** (-4 * n - 4 * n * n) - 1
         gs.append(rhs / lhs_factor)
     return tuple(UniversalSl2Term(n, True, gs[n]) for n in range(depth + 1))
-
-
-@lru_cache(maxsize=None)
-def _universal_r0_coefficients(depth):
-    """d_k with R0^21 = 1 + sum_k d_k f^k (x) e^k, validated on S^N (x) S^N."""
-    datum = build_type_A(2, "sl")
-    v = vector_rep(datum, quantum=True)
-    ctx = v.ctx
-    big = sym_power(v, depth) if depth >= 2 else v
-    r021 = _r0_21(big, big)
-    f_mat, e_mat = big.f(0), big.e(0)
-    top = big.weights.index((Fraction(depth),))
-    bot = big.weights.index((Fraction(-depth),))
-    idx = TensorIndex([big.dim, big.dim])
-    d = {0: ctx.one}
-    f_pow = Mat.identity(big.dim, ctx)
-    e_pow = Mat.identity(big.dim, ctx)
-    for k in range(1, depth + 1):
-        f_pow = f_mat * f_pow
-        e_pow = e_mat * e_pow
-        # f^k v_top and e^k w_bot are single basis vectors
-        fr = [(r, vv) for (r, c, vv) in f_pow.entries() if c == top]
-        er = [(r, vv) for (r, c, vv) in e_pow.entries() if c == bot]
-        if len(fr) != 1 or len(er) != 1:
-            raise FusionError("unexpected sl2 ladder structure")
-        (fr_i, fr_v), (er_i, er_v) = fr[0], er[0]
-        val = r021.mat[idx.flat((fr_i, er_i)), idx.flat((top, bot))]
-        d[k] = val / (fr_v * er_v)
-    # validate the scalar ansatz entrywise
-    recon = Mat.identity(big.dim * big.dim, ctx)
-    f_pow = Mat.identity(big.dim, ctx)
-    e_pow = Mat.identity(big.dim, ctx)
-    for k in range(1, depth + 1):
-        f_pow = f_mat * f_pow
-        e_pow = e_mat * e_pow
-        recon = recon + kron(f_pow, e_pow) * d[k]
-    if not (recon - r021.mat).is_zero:
-        raise FusionError("universal R0 is not of scalar f^k (x) e^k form")
-    return {k: v for k, v in d.items()}
 
 
 def evaluate_universal_sl2(terms, m1, m2):

@@ -41,6 +41,30 @@ def _height_or_none(datum, nu):
         return None
 
 
+def _accumulate(vec, key, term):
+    """vec[key] += term on a sparse vector, dropping an entry that cancels."""
+    s = vec.get(key)
+    s = term if s is None else s + term
+    if s.is_zero:
+        vec.pop(key, None)
+    else:
+        vec[key] = s
+
+
+def shapovalov_gram(slice_, nu):
+    """Gram matrix of the contravariant form on the weight space at drop nu,
+    in the slice's weight_basis(nu); both slice classes bind it as `gram`."""
+    keys = slice_.weight_basis(nu)
+    g = Mat(len(keys), len(keys), slice_.ctx)
+    for i, a in enumerate(keys):
+        for j, b in enumerate(keys):
+            if j < i:
+                g.set(i, j, g[j, i])
+            else:
+                g.set(i, j, slice_.pairing(a, b))
+    return g
+
+
 def enumerate_drops(datum, depth):
     """All nonnegative integer combinations of simple roots of height <= depth,
     in (height, coefficient-tuple) order."""
@@ -193,15 +217,7 @@ class VermaSliceC:
                 bracket = mat_bracket(x, flead)
                 for bpart, coeff in self._decompose_pure(bracket):
                     for m, v in self.act_pure(bpart, rest).items():
-                        term = v * coeff
-                        if m in out:
-                            s = out[m] + term
-                            if s.is_zero:
-                                del out[m]
-                            else:
-                                out[m] = s
-                        elif not term.is_zero:
-                            out[m] = term
+                        _accumulate(out, m, v * coeff)
         self._act_cache[key] = out
         return out
 
@@ -209,15 +225,7 @@ class VermaSliceC:
         out = {}
         for m, v in vec.items():
             for m2, v2 in self.act_pure(("f", j), m).items():
-                term = v * v2
-                if m2 in out:
-                    s = out[m2] + term
-                    if s.is_zero:
-                        del out[m2]
-                    else:
-                        out[m2] = s
-                else:
-                    out[m2] = term
+                _accumulate(out, m2, v * v2)
         return out
 
     def _pure_matrix(self, part):
@@ -250,10 +258,8 @@ class VermaSliceC:
         for part, coeff in self._decompose_pure(x):
             for m, v in vec.items():
                 for m2, v2 in self.act_pure(part, m).items():
-                    term = v * v2 * coeff
-                    s = out.get(m2)
-                    out[m2] = term if s is None else s + term
-        return {m: v for m, v in out.items() if not v.is_zero}
+                    _accumulate(out, m2, v * v2 * coeff)
+        return out
 
     def act_simple(self, kind, i, vec):
         """Simple-generator action (kind 'e' or 'f') on a sparse vector."""
@@ -284,21 +290,12 @@ class VermaSliceC:
         self._gram_cache[key] = out
         return out
 
-    def gram(self, nu):
-        keys = self.weight_basis(nu)
-        g = Mat(len(keys), len(keys), self.ctx)
-        for i, a in enumerate(keys):
-            for j, b in enumerate(keys):
-                if j < i:
-                    g.set(i, j, g[j, i])
-                else:
-                    g.set(i, j, self.pairing(a, b))
-        return g
+    gram = shapovalov_gram
 
-    def coords(self, nu, vec):
-        """Coordinates of a weight-nu sparse vector in weight_basis(nu)."""
+    def coords(self, nu, vecs):
+        """Coordinates of weight-nu sparse vectors in weight_basis(nu)."""
         keys = self.weight_basis(nu)
-        return [vec.get(k, self.ctx.zero) for k in keys]
+        return [[vec.get(k, self.ctx.zero) for k in keys] for vec in vecs]
 
 
 class VermaSliceQ:
@@ -349,15 +346,7 @@ class VermaSliceQ:
             if i == j:
                 ctx = self.ctx
                 kv = self._k_value(i, self.drop_of(rest))
-                scal = (kv - 1 / kv) / (ctx.s ** 2 - ctx.s ** -2)
-                if rest in out:
-                    s = out[rest] + scal
-                    if s.is_zero:
-                        del out[rest]
-                    else:
-                        out[rest] = s
-                elif not scal.is_zero:
-                    out[rest] = scal
+                _accumulate(out, rest, (kv - 1 / kv) / (ctx.s ** 2 - ctx.s ** -2))
         self._e_cache[key] = out
         return out
 
@@ -366,16 +355,12 @@ class VermaSliceQ:
         if kind == "f":
             for w, v in vec.items():
                 if len(w) + 1 <= self.depth:
-                    key = (i,) + w
-                    s = out.get(key)
-                    out[key] = v if s is None else s + v
+                    _accumulate(out, (i,) + w, v)
             return out
         for w, v in vec.items():
             for w2, v2 in self.e_word(i, w).items():
-                term = v * v2
-                s = out.get(w2)
-                out[w2] = term if s is None else s + term
-        return {w: v for w, v in out.items() if not v.is_zero}
+                _accumulate(out, w2, v * v2)
+        return out
 
     def pairing(self, w1, w2):
         key = (w1, w2)
@@ -408,7 +393,6 @@ class VermaSliceQ:
             letters += [i] * c
         candidates = sorted(set(permutations(letters)))
         chosen = []
-        grams = []
         for w in candidates:
             if len(chosen) == target:
                 break
@@ -440,43 +424,28 @@ class VermaSliceQ:
             out.append(int(c))
         return out
 
-    def gram(self, nu):
-        keys = self.weight_basis(nu)
-        g = Mat(len(keys), len(keys), self.ctx)
-        for i, a in enumerate(keys):
-            for j, b in enumerate(keys):
-                if j < i:
-                    g.set(i, j, g[j, i])
-                else:
-                    g.set(i, j, self.pairing(a, b))
-        return g
+    gram = shapovalov_gram
 
-    def coords(self, nu, vec):
+    def coords(self, nu, vecs):
+        """Coordinates of weight-nu sparse vectors in weight_basis(nu): one
+        solve of the Gram system for the block of right-hand sides
+        <a, vec>, a running over the basis words."""
         keys = self.weight_basis(nu)
-        g = self.gram(nu)
-        rows = [[g[i, j] for j in range(len(keys))] for i in range(len(keys))]
-        rhs = []
-        for a in keys:
-            acc = self.ctx.zero
-            for w, v in vec.items():
-                if v.is_zero:
-                    continue
-                acc = acc + v * self.pairing(a, w)
-            rhs.append(acc)
-        if not keys:
-            return []
-        return solve_dense(self.ctx, rows, rhs)
+        rhs = Mat(len(keys), len(vecs), self.ctx)
+        for i, a in enumerate(keys):
+            for col, vec in enumerate(vecs):
+                acc = self.ctx.zero
+                for w, v in vec.items():
+                    acc = acc + v * self.pairing(a, w)
+                rhs.set(i, col, acc)
+        x = self.gram(nu).solve(rhs)
+        return [[x[i, col] for i in range(len(keys))] for col in range(len(vecs))]
 
 
 def verma_slice(datum, offset, depth, quantum=False):
     """Depth-truncated Verma module with highest weight lambda + offset."""
     cls = VermaSliceQ if quantum else VermaSliceC
     return cls(datum, offset, depth)
-
-
-def shapovalov_gram(slice_, nu):
-    """Gram matrix of the contravariant form on the weight space at drop nu."""
-    return slice_.gram(nu)
 
 
 class Intertwiner:
@@ -548,10 +517,8 @@ def solve_intertwiner(slice_, aux, v_index):
                 # aux indices of the equation block (weight v_wt + nu)
                 eq_cols = cols
                 # coefficient rows: e_i on slice part
-                e_coords = {}
-                for k_pos, key in enumerate(keys):
-                    vec = slice_.act_simple("e", i, {key: ctx.one})
-                    e_coords[k_pos] = slice_.coords(mu, vec)
+                e_coords = slice_.coords(
+                    mu, [slice_.act_simple("e", i, {key: ctx.one}) for key in keys])
                 # contributions of solved components at drop mu via K (x) e_i
                 known = solved_drops.get(tuple(mu), [])
                 kn_vec = {}
@@ -567,10 +534,7 @@ def solve_intertwiner(slice_, aux, v_index):
                             mu_pos = mu_keys.index(key) if key in mu_keys else None
                             if mu_pos is None:
                                 raise VermaError("known component not in basis")
-                            cell = (mu_pos, r)
-                            term = c * kval * vv
-                            s = kn_vec.get(cell)
-                            kn_vec[cell] = term if s is None else s + term
+                            _accumulate(kn_vec, (mu_pos, r), c * kval * vv)
                 for mu_pos in range(len(mu_keys)):
                     for r_aux_pos, r_aux in enumerate(eq_cols):
                         row = [ctx.zero] * nvars
@@ -620,34 +584,22 @@ def apply_coproduct_word(phi, letters):
             for (key, u), c in vec.items():
                 # f_i (x) K_i
                 for key2, v2 in slice_.act_simple("f", i, {key: ctx.one}).items():
-                    term = c * v2 * aux.k_power(i, u)
-                    cell = (key2, u)
-                    s = nxt.get(cell)
-                    nxt[cell] = term if s is None else s + term
+                    _accumulate(nxt, (key2, u), c * v2 * aux.k_power(i, u))
                 # 1 (x) f_i
                 for (r, uc, vv) in aux.f(i).entries():
                     if uc == u:
-                        cell = (key, r)
-                        term = c * vv
-                        s = nxt.get(cell)
-                        nxt[cell] = term if s is None else s + term
+                        _accumulate(nxt, (key, r), c * vv)
         else:
             root_idx = letter
             beta = slice_.roots[root_idx]
             aux_f = aux.root_action(beta, negative=True)
             for (key, u), c in vec.items():
                 for key2, v2 in slice_.act_pure(("f", root_idx), key).items():
-                    cell = (key2, u)
-                    term = c * v2
-                    s = nxt.get(cell)
-                    nxt[cell] = term if s is None else s + term
+                    _accumulate(nxt, (key2, u), c * v2)
                 for (r, uc, vv) in aux_f.entries():
                     if uc == u:
-                        cell = (key, r)
-                        term = c * vv
-                        s = nxt.get(cell)
-                        nxt[cell] = term if s is None else s + term
-        vec = {cell: v for cell, v in nxt.items() if not v.is_zero}
+                        _accumulate(nxt, (key, r), c * vv)
+        vec = nxt
     return vec
 
 

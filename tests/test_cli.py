@@ -153,6 +153,21 @@ def test_shapovalov_negative_depth_is_a_precondition_violation(capsys):
 
 
 @pytest.mark.parametrize("line,named", [
+    # depth 0 raised ValueError (exit 1, "check failed")
+    ("macdonald trace-residual --depth 0", "depth 0"),
+    # each exited 0 having compared no coefficient of the series
+    ("macdonald trace-residual --depth 2 --order -1 --biorder -1", "no coefficient"),
+    ("macdonald trace-residual --depth 2 --order -1 --biorder 0", "no coefficient"),
+    ("macdonald trace-residual --depth 2 --order 0 --biorder -1", "no coefficient"),
+])
+def test_vacuous_trace_residual_is_a_precondition_violation(capsys, line, named):
+    code = main(line.split())
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("line,named", [
     ("module --n 2 --spec symx", "symx"),
     ("catalog R-X --n 3 --X a", "'a'"),
     ("fusion --n 2 --modules vec", "'vec'"),

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from dybax.fusion import (
     DynOp,
+    _r0_21,
     abrr_fusion,
     classical_limit,
     evaluate_universal_sl2,
@@ -12,6 +13,7 @@ from dybax.fusion import (
     universal_sl2_at_zero,
     universal_sl2_fusion,
 )
+from dybax.linalg import Mat, kron
 from dybax.reps import TensorIndex, ext_power, sym_power, tensor, trivial_rep, vector_rep
 from dybax.rootdata import build_type_A
 from dybax.verma import verma_slice
@@ -76,12 +78,20 @@ def test_abrr_matches_exchange_construction():
     d_sl2 = build_type_A(2, "sl")
     d_gl2 = build_type_A(2, "gl")
     for quantum in (False, True):
-        cases.append(vector_rep(d_sl2, quantum))
-        cases.append(vector_rep(d_gl2, quantum))
-    for m in cases:
-        j1 = fusion_exchange_construction(m, m)
-        j2 = abrr_fusion(m, m)
-        assert (j1.mat - j2.mat).is_zero, m
+        for datum in (d_sl2, d_gl2):
+            v = vector_rep(datum, quantum)
+            cases.append((v, v))
+    # gl3 pairs whose grades pass the non-simple root (spread >= 3)
+    d_gl3 = build_type_A(3, "gl")
+    s2 = sym_power(vector_rep(d_gl3), 2)
+    cases.append((s2, s2))
+    vq = vector_rep(d_gl3, quantum=True)
+    s2q = sym_power(vq, 2)
+    cases += [(vq, s2q), (s2q, vq)]
+    for m1, m2 in cases:
+        j1 = fusion_exchange_construction(m1, m2)
+        j2 = abrr_fusion(m1, m2)
+        assert (j1.mat - j2.mat).is_zero, (m1, m2)
 
 
 def test_abrr_on_mixed_pair():
@@ -144,6 +154,26 @@ def test_universal_sl2_terms():
     ju = evaluate_universal_sl2(terms, s2, s2)
     jf = fusion_exchange_construction(s2, s2)
     assert (ju.mat - jf.mat).is_zero
+
+
+def test_universal_r0_is_the_q_exponential():
+    # R0^21 = 1 + sum_k d_k f^k (x) e^k on S^N (x) S^N, with the closed-form
+    # d_k = q^(k(k-1)/2) (q - q^-1)^k / [k]_q! that universal_sl2_fusion uses
+    datum = build_type_A(2, "sl")
+    v = vector_rep(datum, quantum=True)
+    ctx = v.ctx
+    q = ctx.s ** 2
+    for n in range(1, 5):
+        big = sym_power(v, n) if n >= 2 else v
+        expect = Mat.identity(big.dim ** 2, ctx)
+        f_pow = e_pow = Mat.identity(big.dim, ctx)
+        q_factorial = ctx.one
+        for k in range(1, n + 1):
+            f_pow, e_pow = big.f(0) * f_pow, big.e(0) * e_pow
+            q_factorial = q_factorial * (q ** k - q ** -k) / (q - 1 / q)
+            d_k = q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / q_factorial
+            expect = expect + kron(f_pow, e_pow) * d_k
+        assert (_r0_21(big, big).mat - expect).is_zero, n
 
 
 def test_universal_sl2_quantum_evaluates_to_fusion():

@@ -1,5 +1,6 @@
 import pytest
 
+from dybax.linalg import solve_dense
 from dybax.reps import vector_rep
 from dybax.rootdata import build_type_A
 from dybax.verma import (
@@ -157,3 +158,33 @@ def test_height_or_none_only_absorbs_root_datum_errors():
     assert _height_or_none(datum, (1, 0, 0)) is None   # off the root lattice
     with pytest.raises(TypeError):
         _height_or_none(datum, None)   # a bug, not "not a root"
+
+
+def test_quantum_block_coords_match_per_vector_solves():
+    # coords(nu, vecs) solves the Gram system once for the e_i-images of a
+    # whole weight space; each column must equal its own dense solve and
+    # reproduce <a, vec> for every basis word a
+    datum = build_type_A(3, "gl")
+    sl = verma_slice(datum, (0, 0, 0), 3, quantum=True)
+    ctx = sl.ctx
+    checked = 0
+    # 2 alpha_1 + alpha_2, alpha_1 + 2 alpha_2 and alpha_1 + alpha_2
+    for nu in [(2, -1, -1), (1, 1, -2), (1, 0, -1)]:
+        keys = sl.weight_basis(nu)
+        for i in range(datum.rank):
+            mu = tuple(a - b for a, b in zip(nu, datum.simple_roots[i]))
+            mu_keys = sl.weight_basis(mu)
+            vecs = [sl.act_simple("e", i, {key: ctx.one}) for key in keys]
+            block = sl.coords(mu, vecs)
+            g = sl.gram(mu)
+            rows = [[g[r, c] for c in range(len(mu_keys))] for r in range(len(mu_keys))]
+            for vec, got in zip(vecs, block):
+                rhs = [sum((v * sl.pairing(a, w) for w, v in vec.items()), ctx.zero)
+                       for a in mu_keys]
+                assert got == solve_dense(ctx, rows, rhs)
+                for a, target in zip(mu_keys, rhs):
+                    back = sum((c * sl.pairing(a, b) for b, c in zip(mu_keys, got)),
+                               ctx.zero)
+                    assert (back - target).is_zero
+                checked += 1
+    assert checked == 12   # two words times two generators per weight
