@@ -48,6 +48,7 @@ from .verify import (
     gauge_classical,
     gauge_quantum,
     hecke_check,
+    hecke_parameter,
     perturb_dynop,
     qdybe_residual,
     unitarity_check,
@@ -152,10 +153,10 @@ def criterion_5():
             subset = [i + 1 for i in range(n) if mask >> i & 1]
             r = quantum_R_X(n, subset)
             ok = ok and qdybe_residual(r).exact_zero
-            ok = ok and hecke_check(r, r.ctx.one).exact_zero
+            ok = ok and hecke_check(r, hecke_parameter(r)).exact_zero
             rq = quantum_R_eps_X(n, subset)
             ok = ok and qdybe_residual(rq).exact_zero
-            ok = ok and hecke_check(rq, rq.ctx.s ** 2).exact_zero
+            ok = ok and hecke_check(rq, hecke_parameter(rq)).exact_zero
             if not ok:
                 return False
     for n in (2, 3):
@@ -241,9 +242,8 @@ def criterion_8():
     for n, fam in ((2, "R-X"), (2, "R-eps-X")):
         full = list(range(1, n + 1))
         op = quantum_R_X(n, full) if fam == "R-X" else quantum_R_eps_X(n, full)
-        q = op.ctx.one if fam == "R-X" else op.ctx.s ** 2
         for p in (2, 3, 4):
-            _, rep = dynamical_hecke_rep(op, p, q)
+            _, rep = dynamical_hecke_rep(op, p, hecke_parameter(op))
             ok = ok and rep.exact_zero
     return ok
 

@@ -51,6 +51,7 @@ from .verify import (
     cdybe_residual,
     dynamical_hecke_rep,
     hecke_check,
+    hecke_parameter,
     qdybe_residual,
     unitarity_check,
 )
@@ -195,8 +196,7 @@ def cmd_verify(args):
         reports.append(qdybe_residual(op, name=args.name))
     elif args.equation == "hecke":
         op = _quantum_catalog(args)
-        q = op.ctx.one if args.name == "R-X" else op.ctx.s ** 2
-        reports.append(hecke_check(op, q, name=args.name))
+        reports.append(hecke_check(op, hecke_parameter(op), name=args.name))
     elif args.equation == "cdybe":
         rmat = _classical_catalog(args)
         reports.append(cdybe_residual(rmat))
@@ -205,8 +205,7 @@ def cmd_verify(args):
         reports.append(unitarity_check(rmat))
     elif args.equation == "hecke-rep":
         op = _quantum_catalog(args)
-        q = op.ctx.one if args.name == "R-X" else op.ctx.s ** 2
-        _, rep = dynamical_hecke_rep(op, args.p, q, name=args.name)
+        _, rep = dynamical_hecke_rep(op, args.p, hecke_parameter(op), name=args.name)
         reports.append(rep)
     else:
         raise argparse.ArgumentTypeError(f"unknown equation {args.equation}")
@@ -218,13 +217,9 @@ def cmd_verify(args):
 
 def _suite_case(case):
     kind, n, subset = case
-    if kind == "R-X":
-        op = quantum_R_X(n, subset)
-        ok = qdybe_residual(op).exact_zero and hecke_check(op, op.ctx.one).exact_zero
-    else:
-        op = quantum_R_eps_X(n, subset)
-        ok = qdybe_residual(op).exact_zero and \
-            hecke_check(op, op.ctx.s ** 2).exact_zero
+    op = (quantum_R_X if kind == "R-X" else quantum_R_eps_X)(n, subset)
+    ok = qdybe_residual(op).exact_zero and \
+        hecke_check(op, hecke_parameter(op)).exact_zero
     return (kind, n, tuple(subset), ok)
 
 
@@ -316,6 +311,8 @@ def cmd_macdonald(args):
         _emit(args, payload)
         return EXIT_OK
     if args.action == "commute":
+        if args.n < 2:
+            raise PreconditionError(f"--n {args.n} has no pair of operators; need n >= 2")
         ok = True
         for r in range(1, args.n + 1):
             for s in range(r + 1, args.n + 1):
@@ -326,6 +323,8 @@ def cmd_macdonald(args):
                      "n": args.n, "m": args.m, "pass": ok})
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.action == "corollary91":
+        if args.m < 0:
+            raise argparse.ArgumentTypeError(f"--m {args.m} is below 0")
         ok, lhs, rhs = corollary91_check(2, 1, args.m)
         payload = {"schema": serialize.SCHEMA, "kind": "corollary-9-1",
                    "m": args.m, "pass": ok,

@@ -13,20 +13,24 @@ Two independent pipelines compute the fusion matrix J_{M1,M2}(lambda):
 Exchange matrices are J^{-1} J^21 classically and J^{-1} R^21 J^21
 quantumly, with the constant R-matrix assembled by quasitriangularity.
 
-The closed-form universal sl2 fusion coefficients live here as well, for
-any depth, with the quantum coefficients generated by running the ABRR
-recursion symbolically in q^lambda and q^h on the q-exponential R0.
+The universal sl2 fusion lives here as well: its coefficients g_n(lambda, h)
+are data for both flavours, Scalars of one auxiliary field in lambda (or
+q^lambda) and h (or q^h), closed-form classically and generated quantumly
+by running the ABRR recursion symbolically on the q-exponential R0.  One
+evaluator, `universal_coefficient`, specializes them on modules, on Verma
+slices (the Shapovalov comparison) and on duals (the trace functions).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Mat, kron
 from .reps import TensorIndex, constant_R
 from .rootdata import weight_add, weight_neg, weight_sub
-from .scalars import quantum_aux_ctx
+from .scalars import CLASSICAL, QUANTUM, aux_ctx
 from .verma import key_letters, solve_intertwiner, verma_slice
 
 
@@ -295,37 +299,36 @@ def _r0_21(m1, m2):
 # -- universal sl2 fusion ---------------------------------------------------
 
 
-class UniversalSl2Term:
-    """One graded term f^n (x) g_n(lambda, h) e^n of the universal fusion.
-
-    Classically g_n(lambda, h) = ((-1)^n / n!) prod_{k=n+1}^{2n}
-    1/(lambda - h + k), with h read AFTER e^n is applied.  Quantum
-    coefficients live in the auxiliary field with t = q^lambda, x = q^h.
-    """
-
-    def __init__(self, n, quantum, coeff=None):
-        self.n = n
-        self.quantum = quantum
-        self.coeff = coeff  # quantum: Scalar in quantum_aux_ctx(1, ("x",))
-
-
 @lru_cache(maxsize=None)
 def universal_sl2_fusion(depth, quantum=False):
-    """Terms (n, coefficient data) of the universal sl2 fusion to depth n<=N.
+    """Coefficients g_0..g_depth of the universal sl2 fusion
+    J = sum_n f^n (x) g_n(lambda, h) e^n, with h read AFTER e^n is applied.
 
-    The quantum coefficients are generated by the ABRR recursion run
-    symbolically, with R0^21 = 1 + sum_k d_k f^k (x) e^k and the
-    q-exponential coefficients d_k = q^(k(k-1)/2) (q - q^-1)^k / [k]_q!.
+    Each g_n is a Scalar of aux_ctx(mode, 1, ("x",)), in l1 = lambda and
+    x = h classically and in t1 = q^lambda and x = q^h quantumly; evaluate
+    it with `universal_coefficient`.  Classically g_n = ((-1)^n / n!)
+    prod_{k=n+1}^{2n} 1/(lambda - h + k).  The quantum coefficients are
+    generated by the ABRR recursion run symbolically, with
+    R0^21 = 1 + sum_k d_k f^k (x) e^k and the q-exponential coefficients
+    d_k = q^(k(k-1)/2) (q - q^-1)^k / [k]_q!.
     """
     if not quantum:
-        return tuple(UniversalSl2Term(n, False) for n in range(depth + 1))
-    aux = quantum_aux_ctx(1, ("x",))
+        aux = aux_ctx(CLASSICAL, 1, ("x",))
+        lam, x = aux.lam(0), aux.gen("x")
+        gs = []
+        for n in range(depth + 1):
+            g = aux.from_fraction(Fraction((-1) ** n, math.factorial(n)))
+            for k in range(n + 1, 2 * n + 1):
+                g = g / (lam - x + k)
+            gs.append(g)
+        return tuple(gs)
+    aux = aux_ctx(QUANTUM, 1, ("x",))
     s, t, x = aux.s, aux.t(0), aux.gen("x")
     q = s ** 2
-    d, q_factorial = [aux.one], aux.one
+    d, factorial_q = [aux.one], aux.one
     for k in range(1, depth + 1):
-        q_factorial = q_factorial * (q ** k - q ** -k) / (q - 1 / q)
-        d.append(q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / q_factorial)
+        factorial_q = factorial_q * (q ** k - q ** -k) / (q - 1 / q)
+        d.append(q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / factorial_q)
     gs = [aux.one]
     for n in range(1, depth + 1):
         rhs = aux.zero
@@ -336,20 +339,39 @@ def universal_sl2_fusion(depth, quantum=False):
             rhs = rhs + d[k] * ratio * g_prev
         lhs_factor = t ** (-2 * n) * x ** (2 * n) * s ** (-4 * n - 4 * n * n) - 1
         gs.append(rhs / lhs_factor)
-    return tuple(UniversalSl2Term(n, True, gs[n]) for n in range(depth + 1))
+    return tuple(gs)
+
+
+def universal_coefficient(g, ctx, lam, h):
+    """The universal coefficient g at lambda-argument lam and h-eigenvalue h,
+    both Scalars of ctx: the values themselves classically, q^lam and q^h
+    quantumly."""
+    lam_name = "t1" if g.ctx.mode == QUANTUM else "l1"
+    return g.convert(ctx, {lam_name: lam, "x": h})
+
+
+def h_value(ctx, h):
+    """An h-eigenvalue as a Scalar of ctx: h classically, q^h = s^(2h)
+    quantumly."""
+    if ctx.mode != QUANTUM:
+        return ctx.from_fraction(h)
+    k2 = 2 * Fraction(h)
+    if k2.denominator != 1:
+        raise FusionError("non-integral h eigenvalue")
+    return ctx.s ** int(k2)
 
 
 def evaluate_universal_sl2(terms, m1, m2):
-    """Evaluate universal fusion terms on a pair of sl2 modules."""
-    datum, ctx = m1.datum, m1.ctx
+    """Evaluate universal fusion coefficients on a pair of sl2 modules."""
+    ctx = m1.ctx
+    lam = ctx.t(0) if m1.quantum else ctx.lam(0)
     idx = TensorIndex([m1.dim, m2.dim])
     out = Mat.identity(idx.size, ctx)
     f_mat = m1.f(0)
     e_mat = m2.e(0)
     f_pow = Mat.identity(m1.dim, ctx)
     e_pow = Mat.identity(m2.dim, ctx)
-    for term in terms:
-        n = term.n
+    for n, g in enumerate(terms):
         if n == 0:
             continue
         f_pow = f_mat * f_pow
@@ -357,35 +379,12 @@ def evaluate_universal_sl2(terms, m1, m2):
         if f_pow.is_zero or e_pow.is_zero:
             break
         for (r2, c2, ev) in e_pow.entries():
-            h_val = m2.weights[r2][0]  # eigenvalue after raising
-            coeff = _universal_coefficient(term, ctx, datum, h_val)
+            h = h_value(ctx, m2.weights[r2][0])  # eigenvalue after raising
+            coeff = universal_coefficient(g, ctx, lam, h)
             for (r1, c1, fv) in f_pow.entries():
                 out.add_to(idx.flat((r1, r2)), idx.flat((c1, c2)),
                            coeff * fv * ev)
     return DynOp([m1, m2], out)
-
-
-def _universal_coefficient(term, ctx, datum, h_val):
-    n = term.n
-    if not term.quantum:
-        lam = ctx.lam(0)
-        coeff = ctx.from_fraction(Fraction((-1) ** n, _factorial(n)))
-        for k in range(n + 1, 2 * n + 1):
-            coeff = coeff / (lam - Fraction(h_val) + k)
-        return coeff
-    # map the aux symbols: t -> t (q^lambda), x -> q^{h_val} = s^{2 h_val}
-    k2 = 2 * Fraction(h_val)
-    if k2.denominator != 1:
-        raise FusionError("non-integral h eigenvalue")
-    return term.coeff.convert(ctx, {"t1": ctx.t(0), "x": ctx.s ** int(k2),
-                                    "s": ctx.s})
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def universal_sl2_at_zero(term, slice_ctx, h_scalar_exponent_const, quantum):
@@ -397,20 +396,10 @@ def universal_sl2_at_zero(term, slice_ctx, h_scalar_exponent_const, quantum):
     q^h = t^{-1} s^{2c}.
     """
     ctx = slice_ctx
-    n = term.n
-    c = Fraction(h_scalar_exponent_const)
-    if not quantum:
-        coeff = ctx.from_fraction(Fraction((-1) ** n, _factorial(n)))
-        lam = ctx.lam(0)
-        for k in range(n + 1, 2 * n + 1):
-            # lambda_arg - h + k at lambda_arg = 0, h = -lambda + c
-            coeff = coeff / (lam - c + k)
-        return coeff
-    k2 = 2 * c
-    if k2.denominator != 1:
-        raise FusionError("non-integral h constant")
-    x_val = ctx.t(0) ** -1 * ctx.s ** int(k2)
-    return term.coeff.convert(ctx, {"t1": ctx.one, "x": x_val, "s": ctx.s})
+    h = h_value(ctx, h_scalar_exponent_const)
+    if quantum:
+        return universal_coefficient(term, ctx, ctx.one, h / ctx.t(0))
+    return universal_coefficient(term, ctx, ctx.zero, h - ctx.lam(0))
 
 
 def shapovalov_vs_fusion(datum, depth, quantum=False):

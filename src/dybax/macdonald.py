@@ -2,28 +2,32 @@
 the weighted trace functions of quantum sl2.
 
 Difference operators are finite sums sum_nu c_nu(lambda) T_nu with exact
-coefficients; on the Macdonald side everything is a Laurent polynomial or
-rational function in x_i = q^(2 lambda_i) = t_i^2, with the Macdonald
-parameter fixed at t = q^(m+1) so all coefficients stay Laurent in s.
-
-The trace functions live in a small dedicated series type: a prefactor
-q^(2 c (lambda,mu)) times a truncated Laurent series in zeta = q^(-lambda)
-(the sl2 coordinate), with coefficients exact rational functions of
-t = q^mu.
+coefficients.  One partial trace, `transfer_diffop`, builds the transfer
+operator D_W = sum_nu Tr|W[nu] R_{W,V}(-lambda-rho) T_nu, which Corollary 9.1
+and both Macdonald-Ruijsenaars theorems (9.1 on V, 9.2 on V*) read.  On the
+Macdonald side everything is a Laurent polynomial or rational function in
+x_i = q^(2 lambda_i) = t_i^2, with t = q^(m+1) so coefficients stay Laurent
+in s.  A trace function is a prefactor q^(2 c (lambda,mu)) times a truncated
+Laurent series in zeta = q^(-lambda) (the sl2 coordinate) whose
+coefficients are exact rational functions of t = q^mu.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations, permutations
 
 from .fusion import (
     exchange_matrix,
+    h_value,
+    universal_coefficient,
     universal_sl2_fusion,
 )
 from .linalg import Mat
 from .reps import TensorIndex, dual, sym_power, trivial_rep, vector_rep
 from .rootdata import build_type_A
-from .scalars import quantum_ctx
+from .scalars import quantum_ctx, series_quotient
 from .verma import apply_coproduct_word, solve_intertwiner, verma_slice
 
 
@@ -43,9 +47,13 @@ class DiffOp:
         self.terms = {}
         if terms:
             for nu, mat in terms.items():
-                self._put(tuple(Fraction(x) for x in nu), mat)
+                self._add(tuple(Fraction(x) for x in nu), mat)
 
-    def _put(self, nu, mat):
+    def _add(self, nu, mat):
+        """Add mat to the coefficient of T_nu; a coefficient that cancels
+        is dropped."""
+        if nu in self.terms:
+            mat = self.terms[nu] + mat
         if mat.is_zero:
             self.terms.pop(nu, None)
         else:
@@ -77,23 +85,19 @@ class DiffOp:
         for nu1, m1 in self.terms.items():
             for nu2, m2 in other.terms.items():
                 nu = tuple(a + b for a, b in zip(nu1, nu2))
-                term = m1 * self._shift_mat(m2, nu1)
-                cur = out.terms.get(nu)
-                out._put(nu, term if cur is None else cur + term)
+                out._add(nu, m1 * self._shift_mat(m2, nu1))
         return out
 
     def __add__(self, other):
         out = DiffOp(self.ctx, self.dim, dict(self.terms))
         for nu, m in other.terms.items():
-            cur = out.terms.get(nu)
-            out._put(nu, m if cur is None else cur + m)
+            out._add(nu, m)
         return out
 
     def __sub__(self, other):
         out = DiffOp(self.ctx, self.dim, dict(self.terms))
         for nu, m in other.terms.items():
-            cur = out.terms.get(nu)
-            out._put(nu, -m if cur is None else cur - m)
+            out._add(nu, -m)
         return out
 
     def __eq__(self, other):
@@ -125,7 +129,7 @@ class DiffOp:
         out = DiffOp(self.ctx, self.dim)
         for nu, m in self.terms.items():
             scale = g / g.shift_lambda([-x for x in nu])
-            out._put(nu, m * scale)
+            out._add(nu, m * scale)
         return out
 
     def transform_q_inverse_neg_lambda(self):
@@ -142,33 +146,22 @@ class DiffOp:
             m2 = Mat(m.nrows, m.ncols, ctx)
             for (r, c, v) in m.entries():
                 m2.set(r, c, v.subs(mapping))
-            out._put(tuple(-x for x in nu), m2)
+            out._add(tuple(-x for x in nu), m2)
         return out
 
 
-def sl_normalized_exchange(m1, m2):
-    """Exchange matrix in the invariant (sl) normalization of the constant
-    R-matrix, which the trace theory (Theorems 9.1-9.4) requires.  For the
-    sl2 datum this is q^(-deg(M1) deg(M2)/2) times the gl-normalized one
-    (dual factors counting negative degree); classically the two agree."""
-    return exchange_matrix(m1, m2, normalized=True)
-
-
-def _neg_lambda_minus_rho(x, datum):
-    """Substitute lambda -> -lambda - rho into a Scalar (both modes)."""
-    ctx = x.ctx
-    if ctx.mode == "classical":
-        return x.subs({f"l{a + 1}": -ctx.lam(a) - datum.rho[a]
-                       for a in range(datum.n_coords)})
-    mapping = {}
-    for a in range(datum.n_coords):
-        k2 = -2 * Fraction(datum.rho[a])
-        mapping[f"t{a + 1}"] = ctx.s ** int(k2) / ctx.t(a)
-    return x.subs(mapping)
-
-
-def transfer_diffop(traced, base, exchange_provider=None, zero_weight=None):
+def transfer_diffop(traced, base, zero_weight=None):
     """D^base_traced = sum_nu Tr_{traced[nu]}(R_{traced,base}(-lambda-rho)) T_nu.
+
+    R is the exchange matrix in the invariant (sl) normalization of the
+    constant R-matrix, which the trace theory (Theorems 9.1-9.4) requires:
+    for the sl2 datum it is q^(-deg(M1) deg(M2)/2) times the gl-normalized
+    one (dual factors counting negative degree); classically the two agree.
+
+    Each coefficient entry sums the diagonal of its traced weight block
+    first and substitutes lambda -> -lambda - rho once afterwards; the
+    substitution is a ring map, so this is the trace of the substituted
+    matrix.
 
     With zero_weight given, the (weight-preserving) coefficients are
     restricted to that weight space of base, which is where the scalar
@@ -176,9 +169,14 @@ def transfer_diffop(traced, base, exchange_provider=None, zero_weight=None):
     which is what the commuting-family identities need for small modules
     with no zero-weight vectors."""
     datum = traced.datum
-    provider = exchange_provider or sl_normalized_exchange
-    rop = provider(traced, base)
+    rop = exchange_matrix(traced, base, normalized=True)
     ctx = rop.ctx
+    # lambda -> -lambda - rho, on l_a classically and on t_a = q^(lambda_a)
+    if ctx.mode == "classical":
+        flip = {f"l{a + 1}": -ctx.lam(a) - datum.rho[a] for a in range(datum.n_coords)}
+    else:
+        flip = {f"t{a + 1}": ctx.s ** int(-2 * datum.rho[a]) / ctx.t(a)
+                for a in range(datum.n_coords)}
     if zero_weight is None:
         base_idx = list(range(base.dim))
     else:
@@ -187,21 +185,17 @@ def transfer_diffop(traced, base, exchange_provider=None, zero_weight=None):
     if not base_idx:
         raise MacdonaldError("base module has no zero-weight space")
     idx = TensorIndex([traced.dim, base.dim])
-    shifted = Mat(rop.mat.nrows, rop.mat.ncols, ctx)
-    for (r, c, v) in rop.mat.entries():
-        shifted.set(r, c, _neg_lambda_minus_rho(v, datum))
     out = DiffOp(ctx, len(base_idx))
-    blocks = traced.weight_blocks()
-    for nu, rows in blocks.items():
+    for nu, rows in traced.weight_blocks().items():
         coeff = Mat(len(base_idx), len(base_idx), ctx)
-        for w in rows:
-            for bi, vi in enumerate(base_idx):
-                for bj, vj in enumerate(base_idx):
-                    val = shifted[idx.flat((w, vi)), idx.flat((w, vj))]
-                    if not val.is_zero:
-                        coeff.add_to(bi, bj, val)
-        cur = out.terms.get(tuple(nu))
-        out._put(tuple(nu), coeff if cur is None else cur + coeff)
+        for bi, vi in enumerate(base_idx):
+            for bj, vj in enumerate(base_idx):
+                trace = ctx.zero
+                for w in rows:
+                    trace = trace + rop.mat[idx.flat((w, vi)), idx.flat((w, vj))]
+                if not trace.is_zero:
+                    coeff.set(bi, bj, trace.subs(flip))
+        out._add(tuple(nu), coeff)
     return out
 
 
@@ -215,7 +209,6 @@ def macdonald_operator(n, r, m):
     ctx = quantum_ctx(n)
     t_par = ctx.s ** (2 * (m + 1))
     out = DiffOp(ctx, 1)
-    from itertools import combinations
     for subset in combinations(range(n), r):
         coeff = ctx.one
         inside = set(subset)
@@ -227,17 +220,13 @@ def macdonald_operator(n, r, m):
                 xj = ctx.t(j) ** 2
                 coeff = coeff * (t_par * xi - xj / t_par) / (xi - xj)
         nu = tuple(Fraction(1 if i in inside else 0) for i in range(n))
-        mat = Mat(1, 1, ctx)
-        mat.set(0, 0, coeff)
-        cur = out.terms.get(nu)
-        out._put(nu, mat if cur is None else cur + mat)
+        out._add(nu, Mat.identity(1, ctx) * coeff)
     return out
 
 
 def macdonald_eigenvalue(n, r, m, mu):
     """sum_{|I|=r} prod_{i in I} q^(2 mu_i) t^(n+1-2i), t = q^(m+1)."""
     ctx = quantum_ctx(n)
-    from itertools import combinations
     out = ctx.zero
     for subset in combinations(range(n), r):
         term = ctx.one
@@ -275,7 +264,6 @@ def dominates(mu, nu):
 
 
 def monomial_symmetric(ctx, nu):
-    from itertools import permutations
     out = ctx.zero
     for sigma in sorted(set(permutations(nu))):
         term = ctx.one
@@ -290,21 +278,15 @@ def as_laurent(x):
     """Split a Scalar whose denominator is a single t-monomial into
     {t-exponent tuple: s-only Scalar}."""
     ctx = x.ctx
-    den_terms = list(x.f.denom.terms())
+    num_terms, den_terms = x.fraction_terms()
     if len(den_terms) != 1:
         raise MacdonaldError("not a Laurent polynomial in the t variables")
     dmon, dcoef = den_terms[0]
     out = {}
-    for monom, coeff in x.f.numer.terms():
+    for monom, coeff in num_terms:
         t_exp = tuple(monom[1 + a] - dmon[1 + a] for a in range(ctx.n))
-        s_pow = monom[0] - dmon[0]
-        val = ctx.from_fraction(Fraction(int(coeff.numerator),
-                                         int(coeff.denominator))) \
-            / ctx.from_fraction(Fraction(int(dcoef.numerator),
-                                         int(dcoef.denominator)))
-        val = val * ctx.s ** s_pow
-        cur = out.get(t_exp)
-        out[t_exp] = val if cur is None else cur + val
+        val = ctx.from_fraction(coeff / dcoef) * ctx.s ** (monom[0] - dmon[0])
+        out[t_exp] = out.get(t_exp, ctx.zero) + val
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
@@ -371,7 +353,6 @@ def schur_polynomial(n, mu):
     """Bialternant Schur polynomial in x_i = t_i^2 (monomial coefficients)."""
     ctx = quantum_ctx(n)
     mu = tuple(mu) + (0,) * (n - len(mu))
-    from itertools import permutations
 
     def det(rows_exp):
         out = ctx.zero
@@ -404,10 +385,7 @@ def sl2_reduced_macdonald(r, m):
     for nu, mat in gl_op.terms.items():
         c = mat[0, 0].convert(ctx, {"t1": ctx.t(0), "t2": ctx.one, "s": ctx.s})
         shift = (Fraction(nu[0]) - Fraction(nu[1]),)
-        m2 = Mat(1, 1, ctx)
-        m2.set(0, 0, c)
-        cur = out.terms.get(shift)
-        out._put(shift, m2 if cur is None else cur + m2)
+        out._add(shift, Mat.identity(1, ctx) * c)
     return out
 
 
@@ -455,34 +433,23 @@ def zeta_expand(x, order):
     if ctx.n != 1:
         raise MacdonaldError("zeta expansion is an sl2 (rank-1) computation")
 
-    def reversed_poly(poly):
-        terms = list(poly.terms())
+    def reversed_poly(terms):
         deg = max(mon[1] for mon, _ in terms)
         out = {}
         for mon, coeff in terms:
             key = deg - mon[1]
-            cur = out.get(key, ctx.zero)
-            out[key] = cur + ctx.from_fraction(
-                Fraction(int(coeff.numerator), int(coeff.denominator))) \
-                * ctx.s ** mon[0]
+            out[key] = out.get(key, ctx.zero) + ctx.from_fraction(coeff) * ctx.s ** mon[0]
         return deg, out
 
     if x.is_zero:
         return 0, [ctx.zero] * (order + 1)
-    dn, num = reversed_poly(x.f.numer)
-    dd, den = reversed_poly(x.f.denom)
+    (dn, num), (dd, den) = (reversed_poly(terms) for terms in x.fraction_terms())
     vn = min(k for k, v in num.items() if not v.is_zero)
     vd = min(k for k, v in den.items() if not v.is_zero)
     val = (dd - dn) + (vn - vd)
     a = [num.get(vn + k, ctx.zero) for k in range(order + 1)]
     b = [den.get(vd + k, ctx.zero) for k in range(order + 1)]
-    q = [ctx.zero] * (order + 1)
-    for k in range(order + 1):
-        acc = a[k]
-        for j in range(k):
-            acc = acc - q[j] * b[k - j]
-        q[k] = acc / b[0]
-    return val, q
+    return val, series_quotient(a, b, order + 1)
 
 
 class TraceSeries:
@@ -530,10 +497,9 @@ class TraceSeries:
     def shift_lambda_by(self, c):
         """lambda -> lambda + c: zeta -> zeta q^{-c}, prefactor gains t^(exp*c)."""
         c = Fraction(c)
-        tfac = self.ctx.t(0) ** int(self.mu_exp * c) if (self.mu_exp * c).denominator == 1 \
-            else None
-        if tfac is None:
+        if (self.mu_exp * c).denominator != 1:
             raise MacdonaldError("non-integral prefactor shift")
+        tfac = self.ctx.t(0) ** int(self.mu_exp * c)
         out = []
         for i, a in enumerate(self.coeffs):
             k = self.val + i
@@ -549,9 +515,6 @@ class TraceSeries:
         sub = {"t1": self.ctx.t(0) * self.ctx.s ** int(2 * c)}
         out = [a.subs(sub) for a in self.coeffs]
         return TraceSeries(self.ctx, self.mu_exp, self.val - int(zshift), out)
-
-    def mul_mu_rational(self, factor):
-        return self.scale(factor)
 
     def is_zero_through(self, k_max):
         for k in range(self.val, k_max + 1):
@@ -585,9 +548,9 @@ def sl2_trace_function(depth, module=None):
 def _q_matrix_on_dual(module, depth):
     """Q(mu) restricted to module*, as a matrix over q^mu: the universal
     fusion at argument -mu-rho pushed through m^op (1 (x) S^{-1})."""
-    datum = module.datum
     ctx = module.ctx
-    terms = universal_sl2_fusion(depth, quantum=True)
+    coeffs = universal_sl2_fusion(depth, quantum=True)
+    arg = ctx.s ** -2 / ctx.t(0)  # q^(-mu - rho)
     e_mat = module.e(0)
     f_mat = module.f(0)
     k_inv = module.k_diag(0, inverse=True)
@@ -595,8 +558,7 @@ def _q_matrix_on_dual(module, depth):
     out = Mat.identity(module.dim, ctx)
     e_pow = Mat.identity(module.dim, ctx)
     sf_pow_t = Mat.identity(module.dim, ctx)
-    for term in terms:
-        n = term.n
+    for n, g in enumerate(coeffs):
         if n == 0:
             continue
         e_pow = e_mat * e_pow
@@ -606,19 +568,14 @@ def _q_matrix_on_dual(module, depth):
         # G_n = g_n(arg, h) e^n evaluated on the module, arg = -mu - rho
         g_eval = Mat(module.dim, module.dim, ctx)
         for (r, c, v) in e_pow.entries():
-            h_val = module.weights[r][0]
-            k2 = 2 * Fraction(h_val)
-            coeff = term.coeff.convert(
-                ctx, {"t1": ctx.s ** -2 / ctx.t(0), "x": ctx.s ** int(k2),
-                      "s": ctx.s})
-            g_eval.set(r, c, coeff * v)
+            h = h_value(ctx, module.weights[r][0])
+            g_eval.set(r, c, universal_coefficient(g, ctx, arg, h) * v)
         out = out + g_eval.transpose() * sf_pow_t
     return out
 
 
 def f_v_series(depth, order, module=None):
     """F_V(lambda, mu) as a TraceSeries through zeta-order `order`."""
-    datum = build_type_A(2, "sl")
     module, a = sl2_trace_function(depth, module)
     ctx = quantum_ctx(1)
     # Psi(lambda, -mu-rho): substitute t -> q^{-mu-1} in the a_k, prefactor
@@ -640,73 +597,37 @@ def f_v_series(depth, order, module=None):
     q_scalar = qmat[i0, i0]
     if q_scalar.is_zero:
         raise MacdonaldError("Q is singular on the zero-weight line")
-    return module, out.mul_mu_rational(1 / q_scalar)
-
-
-def _transfer_zeta_terms(traced, base, order):
-    """The shifted-exchange transfer coefficients, zeta-expanded: a list of
-    (nu coordinate, valuation, coefficients) restricted to base[0]."""
-    datum = traced.datum
-    rop = sl_normalized_exchange(traced, base)
-    ctx = rop.ctx
-    zero = (Fraction(0),)
-    base_idx = [i for i, w in enumerate(base.weights) if w == zero]
-    if len(base_idx) != 1:
-        raise MacdonaldError("base zero-weight space must be one-dimensional")
-    b0 = base_idx[0]
-    idx = TensorIndex([traced.dim, base.dim])
-    out = []
-    for nu, rows in traced.weight_blocks().items():
-        acc = ctx.zero
-        for w in rows:
-            v = rop.mat[idx.flat((w, b0)), idx.flat((w, b0))]
-            if not v.is_zero:
-                acc = acc + _neg_lambda_minus_rho(v, datum)
-        if acc.is_zero:
-            continue
-        val, coeffs = zeta_expand(acc, order)
-        out.append((Fraction(nu[0]), val, coeffs))
-    return out
+    return module, out.scale(1 / q_scalar)
 
 
 def mr_residual(depth, order, dual_side=False):
     """Theorem 9.1 (or 9.2) residual through the given zeta order, for the
-    3-dimensional quantum sl2 module with W = C^2."""
+    3-dimensional quantum sl2 module with W = C^2.
+
+    Both theorems apply the transfer operator D_W of `transfer_diffop`: on
+    the zero-weight line of V it acts in lambda (Theorem 9.1), on that of
+    V* in mu (Theorem 9.2)."""
     datum = build_type_A(2, "sl")
     w_mod = vector_rep(datum, quantum=True)
     module, f_series = f_v_series(depth, 2 * depth + 2)
     ctx = f_series.ctx
-    if not dual_side:
-        terms = _transfer_zeta_terms(w_mod, module, 2 * depth + 2)
-        applied = None
-        for (nu, val, coeffs) in terms:
-            shifted = f_series.shift_lambda_by(nu)
-            term = shifted.mul_zeta_series(val, coeffs)
-            applied = term if applied is None else applied.add(term)
-        chi = ctx.t(0) + 1 / ctx.t(0)
-        rhs = f_series.mul_mu_rational(chi)
-        resid = applied.sub(rhs)
-        return resid, resid.is_zero_through(order)
-    # dual side: operator in mu with V* exchange, chi at q^{-2 lambda}
-    vdual = dual(module)
-    rop = sl_normalized_exchange(w_mod, vdual)
-    zero = (Fraction(0),)
-    i0 = vdual.weights.index(zero)
-    idx = TensorIndex([w_mod.dim, vdual.dim])
-    applied = None
-    for nu, rows in w_mod.weight_blocks().items():
-        acc = ctx.zero
-        for w in rows:
-            v = rop.mat[idx.flat((w, i0)), idx.flat((w, i0))]
-            if not v.is_zero:
-                acc = acc + _neg_lambda_minus_rho(v, datum)
-        if acc.is_zero:
-            continue
-        shifted = f_series.shift_mu_by(Fraction(nu[0]))
-        term = shifted.mul_mu_rational(acc)
-        applied = term if applied is None else applied.add(term)
-    # chi_W(q^{-2 lambda}) = zeta + zeta^{-1}
-    rhs = f_series.mul_zeta_series(-1, [ctx.one, ctx.zero, ctx.one])
+    d_op = transfer_diffop(w_mod, dual(module) if dual_side else module,
+                           zero_weight=(0,))
+    if d_op.dim != 1:
+        raise MacdonaldError("base zero-weight space must be one-dimensional")
+    terms = []
+    for nu, mat in d_op.terms.items():
+        if dual_side:
+            terms.append(f_series.shift_mu_by(nu[0]).scale(mat[0, 0]))
+        else:
+            val, coeffs = zeta_expand(mat[0, 0], 2 * depth + 2)
+            terms.append(f_series.shift_lambda_by(nu[0]).mul_zeta_series(val, coeffs))
+    applied = reduce(TraceSeries.add, terms)
+    if dual_side:
+        # chi_W(q^{-2 lambda}) = zeta + zeta^{-1}
+        rhs = f_series.mul_zeta_series(-1, [ctx.one, ctx.zero, ctx.one])
+    else:
+        rhs = f_series.scale(ctx.t(0) + 1 / ctx.t(0))
     resid = applied.sub(rhs)
     return resid, resid.is_zero_through(order)
 
@@ -734,10 +655,7 @@ def symmetry_residuals(depth, biorder):
 def _bi_coefficient(ctx, series, i, j, order):
     """Coefficient of zeta_lambda^i zeta_mu^j after expanding the mu-rational
     coefficient of zeta_lambda^i at t -> infinity."""
-    c = series.coeff_at(i)
-    if c.is_zero:
-        return ctx.zero
-    val, coeffs = zeta_expand(c, order)
+    val, coeffs = zeta_expand(series.coeff_at(i), order)
     k = j - val
     if 0 <= k < len(coeffs):
         return coeffs[k]

@@ -124,9 +124,10 @@ def symbol_ctx(n):
 
 
 @lru_cache(maxsize=None)
-def quantum_aux_ctx(n, extra):
-    """Quantum field with extra generators (used by the universal sl2 recursion)."""
-    return Context(QUANTUM, n, extra=extra)
+def aux_ctx(mode, n, extra):
+    """A field of the given mode with extra generators (the universal sl2
+    coefficients)."""
+    return Context(mode, n, extra=extra)
 
 
 def _to_frac_element(ctx, value):
@@ -204,18 +205,17 @@ class Scalar:
 
     # -- structure ----------------------------------------------------------
 
+    def fraction_terms(self):
+        """Numerator and denominator as lists of (exponent tuple, Fraction),
+        one pair per monomial, exponents in the order of ``ctx.var_names``."""
+        return _rational_terms(self.f.numer), _rational_terms(self.f.denom)
+
     def to_fraction(self):
         """The value as an exact rational; error if not constant."""
-        num, den = self.f.numer, self.f.denom
-        zero_mon = (0,) * self.f.field.ngens
-        if any(m != zero_mon for m in num.monoms()):
+        num, den = self.fraction_terms()
+        if any(any(monom) for monom, _ in num + den):
             raise ScalarError(f"not a constant: {self.f}")
-        if any(m != zero_mon for m in den.monoms()):
-            raise ScalarError(f"not a constant: {self.f}")
-        a = num.get(zero_mon, QQ(0))
-        b = den.get(zero_mon, QQ(0))
-        val = QQ(a) / QQ(b)
-        return Fraction(int(val.numerator), int(val.denominator))
+        return (num[0][1] if num else Fraction(0)) / den[0][1]
 
     def convert(self, tgt, mapping):
         """Map into another context: every generator must be sent to a target
@@ -346,6 +346,11 @@ class Scalar:
         return _fraction_text(self.ctx, self.f)
 
 
+def _rational_terms(poly):
+    return [(monom, Fraction(int(c.numerator), int(c.denominator)))
+            for monom, c in poly.terms()]
+
+
 def _eval_poly(tgt, poly, vals):
     """Evaluate a PolyElement at field-element values of the context tgt
     (monomial by monomial); the result lies in tgt's field."""
@@ -429,14 +434,22 @@ def _series_divide(tgt, num, den, order, net_shift):
     b = den[vd:vd + order + 1]
     a += [tgt.field.zero] * (order + 1 - len(a))
     b += [tgt.field.zero] * (order + 1 - len(b))
-    q = [tgt.field.zero] * (order + 1)
-    for k in range(order + 1 - shift):
+    coeffs = [tgt.field.zero] * shift + series_quotient(a, b, order + 1 - shift)
+    return GammaSeries(tgt, order, coeffs[:order + 1])
+
+
+def series_quotient(a, b, n):
+    """The first n coefficients of the power series a / b.
+
+    a and b are coefficient lists of length at least n over any field (sympy
+    field elements or Scalars), and b[0] must be nonzero."""
+    q = []
+    for k in range(n):
         acc = a[k]
         for j in range(k):
             acc = acc - q[j] * b[k - j]
-        q[k] = acc / b[0]
-    coeffs = [tgt.field.zero] * shift + q[:order + 1 - shift]
-    return GammaSeries(tgt, order, coeffs)
+        q.append(acc / b[0])
+    return q
 
 
 class GammaSeries:
@@ -490,14 +503,9 @@ class GammaSeries:
     def inverse(self):
         if not self._c[0]:
             raise NotRegularError("constant term vanishes; series not invertible")
-        out = [self.ctx.field.zero] * (self.order + 1)
-        out[0] = self.ctx.field.one / self._c[0]
-        for k in range(1, self.order + 1):
-            acc = self.ctx.field.zero
-            for j in range(k):
-                acc += out[j] * self._c[k - j]
-            out[k] = -acc / self._c[0]
-        return GammaSeries(self.ctx, self.order, out)
+        one = [self.ctx.field.one] + [self.ctx.field.zero] * self.order
+        return GammaSeries(self.ctx, self.order,
+                           series_quotient(one, self._c, self.order + 1))
 
     @property
     def is_zero(self):

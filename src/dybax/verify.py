@@ -16,6 +16,7 @@ from .catalog import ClassicalRMatrix
 from .fusion import DynOp, fusion_exchange_construction, place_in_slots
 from .linalg import Mat
 from .reps import TensorIndex, permutation_matrix, tensor
+from .scalars import QUANTUM
 
 
 class VerifyError(Exception):
@@ -134,6 +135,13 @@ def cdybe_residual(rmat, name=None):
         if not acc[key].is_zero and witness is None:
             witness = (key, acc[key].to_text())
     return ResidualReport("cdybe", name, witness is None, witness, count)
+
+
+def hecke_parameter(rop):
+    """The Hecke parameter q of an exchange operator: s^2 on a quantum
+    field, 1 on a classical one (the rational R_X and closed forms)."""
+    ctx = rop.ctx
+    return ctx.s ** 2 if ctx.mode == QUANTUM else ctx.one
 
 
 def hecke_check(rop, q, name="R"):

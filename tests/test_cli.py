@@ -56,6 +56,16 @@ def test_verify_hecke_rep(capsys):
     assert payload["reports"][0]["exact_zero"] is True
 
 
+@pytest.mark.parametrize("equation", ["hecke", "hecke-rep"])
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_verify_hecke_on_the_classical_closed_form(capsys, equation, n):
+    # the Hecke parameter comes from the field: q = 1 on a classical one
+    code, out = run_cli(capsys, ["verify", equation, "--catalog", "gl-closed-form",
+                                 "--n", n])
+    assert code == 0
+    assert json.loads(out)["reports"][0]["exact_zero"] is True
+
+
 def test_fusion_both_methods(capsys):
     code, out = run_cli(capsys, ["fusion", "--n", "2", "--flavor", "sl",
                                  "--method", "both"])
@@ -153,6 +163,19 @@ def test_shapovalov_negative_depth_is_a_precondition_violation(capsys):
 
 
 @pytest.mark.parametrize("line,named", [
+    # n < 2 exited 0 having compared no pair of operators
+    ("macdonald commute --n 1", "--n 1"),
+    ("macdonald commute --n 0", "--n 0"),
+])
+def test_macdonald_commute_without_a_pair_is_a_precondition_violation(capsys, line,
+                                                                      named):
+    code = main(line.split())
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert named in captured.err
+
+
+@pytest.mark.parametrize("line,named", [
     # depth 0 raised ValueError (exit 1, "check failed")
     ("macdonald trace-residual --depth 0", "depth 0"),
     # each exited 0 having compared no coefficient of the series
@@ -181,6 +204,8 @@ def test_vacuous_trace_residual_is_a_precondition_violation(capsys, line, named)
     ("module --n 3 --spec ext4", "ext4"),
     ("catalog r-l --n 3 --roots a", "'a'"),
     ("catalog appA --n 3 --gamma1 1 --gamma2 2 --l-basis 1,0,x", "1,0,x"),
+    # raised ValueError (exit 1, "check failed")
+    ("macdonald corollary91 --m -1", "-1"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, line, named):
     code = main(line.split())

@@ -1,5 +1,10 @@
 from fractions import Fraction
 
+import pytest
+
+from dybax import serialize
+from dybax.fusion import exchange_matrix
+from dybax.linalg import Mat
 from dybax.macdonald import (
     DiffOp,
     corollary91_check,
@@ -14,7 +19,7 @@ from dybax.macdonald import (
     transfer_diffop,
     zeta_expand,
 )
-from dybax.reps import sym_power, tensor, trivial_rep, vector_rep
+from dybax.reps import TensorIndex, dual, sym_power, tensor, trivial_rep, vector_rep
 from dybax.rootdata import build_type_A
 from dybax.scalars import quantum_ctx
 
@@ -124,6 +129,50 @@ def test_transfer_factorization_on_zero_weight():
         assert (d_v * d_s - d_s * d_v).is_zero
         assert (transfer_diffop(tensor(v, u), u, zero_weight=(0,))
                 - d_v * d_s).is_zero
+
+
+def _transfer_by_shifting_every_entry(traced, base, zero_weight):
+    """Reference for transfer_diffop: substitute lambda -> -lambda - rho into
+    every entry of the exchange matrix, then trace each weight block."""
+    datum = traced.datum
+    rop = exchange_matrix(traced, base, normalized=True)
+    ctx = rop.ctx
+    if ctx.mode == "classical":
+        mapping = {f"l{a + 1}": -ctx.lam(a) - datum.rho[a] for a in range(datum.n_coords)}
+    else:
+        mapping = {f"t{a + 1}": ctx.s ** int(-2 * Fraction(datum.rho[a])) / ctx.t(a)
+                   for a in range(datum.n_coords)}
+    shifted = Mat(rop.mat.nrows, rop.mat.ncols, ctx)
+    for (r, c, v) in rop.mat.entries():
+        shifted.set(r, c, v.subs(mapping))
+    if zero_weight is None:
+        base_idx = list(range(base.dim))
+    else:
+        base_idx = [i for i, w in enumerate(base.weights) if w == zero_weight]
+    idx = TensorIndex([traced.dim, base.dim])
+    terms = {}
+    for nu, rows in traced.weight_blocks().items():
+        coeff = Mat(len(base_idx), len(base_idx), ctx)
+        for w in rows:
+            for bi, vi in enumerate(base_idx):
+                for bj, vj in enumerate(base_idx):
+                    coeff.add_to(bi, bj, shifted[idx.flat((w, vi)), idx.flat((w, vj))])
+        terms[nu] = coeff
+    return DiffOp(ctx, len(base_idx), terms)
+
+
+@pytest.mark.parametrize("quantum", [False, True])
+def test_transfer_diffop_matches_shifting_every_entry(quantum):
+    datum = build_type_A(2, "sl")
+    v = vector_rep(datum, quantum)
+    u = sym_power(v, 2)
+    zero = (Fraction(0),)
+    cases = [(v, u, zero), (tensor(v, v), u, zero), (u, u, zero), (v, dual(u), zero),
+             (trivial_rep(datum, quantum), v, None), (v, u, None)]
+    for traced, base, zero_weight in cases:
+        fast = transfer_diffop(traced, base, zero_weight=zero_weight)
+        ref = _transfer_by_shifting_every_entry(traced, base, zero_weight)
+        assert serialize.diffop_json(fast) == serialize.diffop_json(ref)
 
 
 def test_transfer_trivial_traced():

@@ -83,6 +83,14 @@ def test_gamma_expand_classical():
         (l + 1).gamma_expand(2)
 
 
+def test_gamma_expand_vanishing_beyond_the_order():
+    # gamma^5 / l^5 is zero through order 2; the expansion raised ValueError
+    l = classical_ctx(1).lam(0)
+    assert (1 / l ** 5).gamma_expand(2).is_zero
+    g = (1 / l ** 2).gamma_expand(3)
+    assert g.coeff(1).is_zero and g.coeff(2) == 1 / symbol_ctx(1).lam(0) ** 2
+
+
 def test_gamma_expand_quantum_coth_form():
     # (q^-1 - q)/(q^(2(l+1)) - 1): order-gamma coefficient is the sl2 entry of
     # the basic trigonometric r-matrix, e*w^2/(w^2-1)  (= (e/2)(coth+1) form).
