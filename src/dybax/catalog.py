@@ -95,24 +95,6 @@ class ClassicalRMatrix:
                                c * v1 * v2)
         return DynOp([m1, m2], out)
 
-    def is_weight_zero(self):
-        datum = self.datum
-        for (a, b, c) in self.terms:
-            pos_a, _, neg_a = datum.decompose(a)
-            pos_b, _, neg_b = datum.decompose(b)
-            wa = datum.zero_weight
-            for al in pos_a:
-                wa = weight_add(wa, al)
-            for al in neg_a:
-                wa = weight_sub(wa, al)
-            for al in pos_b:
-                wa = weight_add(wa, al)
-            for al in neg_b:
-                wa = weight_sub(wa, al)
-            if any(x != 0 for x in wa) and not c.is_zero:
-                return False
-        return True
-
 
 def _module_matrix(module, x, ctx):
     """Classical action of x on the module, with entries moved into ctx."""

@@ -31,7 +31,7 @@ from .linalg import Mat, kron
 from .reps import TensorIndex, constant_R
 from .rootdata import weight_add, weight_neg, weight_sub
 from .scalars import CLASSICAL, QUANTUM, aux_ctx
-from .verma import key_letters, solve_intertwiner, verma_slice
+from .verma import solve_intertwiner, verma_slice
 
 
 class FusionError(Exception):
@@ -52,9 +52,6 @@ class DynOp:
     def identity(cls, factors):
         idx = TensorIndex([m.dim for m in factors])
         return cls(factors, Mat.identity(idx.size, factors[0].ctx))
-
-    def copy(self):
-        return DynOp(self.factors, self.mat.copy())
 
     def slot_weight(self, flat, slot):
         return self.factors[slot].weights[self.index.multi(flat)[slot]]
@@ -169,7 +166,7 @@ def fusion_exchange_construction(m1, m2):
                 continue
             lowered = lowered_cache.get(key)
             if lowered is None:
-                lowered = lowered_cache[key] = _lowering_product(m1, sl, key)
+                lowered = lowered_cache[key] = _lowering_product(m1, key)
             for i in range(m1.dim):
                 col = idx.flat((i, j))
                 for (r, cc, vv) in lowered.entries():
@@ -178,17 +175,11 @@ def fusion_exchange_construction(m1, m2):
     return DynOp([m1, m2], out)
 
 
-def _lowering_product(module, slice_, key):
-    """rho(f_letters(key)) as a matrix on the module."""
-    letters = key_letters(slice_, key)
+def _lowering_product(module, key):
+    """rho(f_key) for a slice word key as a matrix on the module."""
     out = Mat.identity(module.dim, module.ctx)
-    for letter in reversed(letters):
-        if slice_.quantum:
-            step = module.f(letter)
-        else:
-            beta = slice_.roots[letter]
-            step = module.root_action(beta, negative=True)
-        out = step * out
+    for i in reversed(key):
+        out = module.f(i) * out
     return out
 
 
@@ -443,18 +434,11 @@ def singular_inverse_element(datum, depth, quantum=False):
     coeffs = [ctx.one]
     for j in range(1, depth + 1):
         # e-action matrix element on f^j x_lambda from the slice itself
-        vec = sl.act_simple("e", 0, {_sl2_key(sl, j): ctx.one})
-        ef = vec[_sl2_key(sl, j - 1)]
-        if quantum:
-            kinv = 1 / sl._k_value(0, (Fraction(2 * (j - 1)),))
-        else:
-            kinv = ctx.one
+        vec = sl.act_simple("e", 0, {(0,) * j: ctx.one})
+        ef = vec[(0,) * (j - 1)]
+        kinv = sl.k_inverse(0, (Fraction(2 * (j - 1)),))
         coeffs.append(-coeffs[j - 1] * kinv / ef)
     return coeffs
-
-
-def _sl2_key(slice_, j):
-    return (0,) * j if slice_.quantum else (j,)
 
 
 # -- classical limits --------------------------------------------------------

@@ -290,7 +290,7 @@ def as_laurent(x):
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
-def _monomial_expansion(ctx, x, degree, n):
+def _monomial_expansion(x):
     """Expand a symmetric Laurent polynomial in monomial symmetric functions."""
     coeffs = as_laurent(x)
     out = {}
@@ -322,7 +322,7 @@ def macdonald_polynomial(n, mu, m):
     col = {}
     for nu in space:
         image = m1.apply_scalar(monomial_symmetric(ctx, nu))
-        col[nu] = _monomial_expansion(ctx, image, d, n)
+        col[nu] = _monomial_expansion(image)
     e1 = macdonald_eigenvalue(n, 1, m, mu)
     coeffs = {mu: ctx.one}
     for nu in space:
@@ -357,11 +357,9 @@ def schur_polynomial(n, mu):
     def det(rows_exp):
         out = ctx.zero
         for sigma in permutations(range(n)):
-            sign = 1
-            seen = list(sigma)
             # permutation sign by counting inversions
             inv = sum(1 for i in range(n) for j in range(i + 1, n)
-                      if seen[i] > seen[j])
+                      if sigma[i] > sigma[j])
             sign = -1 if inv % 2 else 1
             term = ctx.from_fraction(sign)
             for i in range(n):
@@ -371,7 +369,7 @@ def schur_polynomial(n, mu):
 
     num = det([mu[j] + n - 1 - j for j in range(n)])
     den = det([n - 1 - j for j in range(n)])
-    return _monomial_expansion(ctx, num / den, sum(mu), n)
+    return _monomial_expansion(num / den)
 
 
 def sl2_reduced_macdonald(r, m):

@@ -198,16 +198,6 @@ class RootDatum:
             return Fraction(diag[0]) * Fraction(weight[0])
         return sum(Fraction(d) * Fraction(w) for d, w in zip(diag, weight))
 
-    def lambda_of_diag(self, diag, ctx, offset):
-        """(lambda + offset)(h) as a classical Scalar, h given by its diagonal."""
-        out = ctx.from_fraction(self.weight_of_diag(diag, offset))
-        if self.sl2_model:
-            return out + ctx.lam(0) * Fraction(diag[0])
-        for a, d in enumerate(diag):
-            if d:
-                out = out + ctx.lam(a) * Fraction(d)
-        return out
-
     # -- scalar builders -------------------------------------------------------
 
     def classical_field(self):

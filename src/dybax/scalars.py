@@ -500,13 +500,6 @@ class GammaSeries:
 
     __rmul__ = __mul__
 
-    def inverse(self):
-        if not self._c[0]:
-            raise NotRegularError("constant term vanishes; series not invertible")
-        one = [self.ctx.field.one] + [self.ctx.field.zero] * self.order
-        return GammaSeries(self.ctx, self.order,
-                           series_quotient(one, self._c, self.order + 1))
-
     @property
     def is_zero(self):
         return all(not c for c in self._c)

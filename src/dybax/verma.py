@@ -6,11 +6,14 @@ coordinates l_i of the coefficient field) and offset a concrete weight; all
 action coefficients are exact rational functions of lambda (polynomials,
 in fact) classically, or Laurent in s and the t_i quantumly.
 
-Depth counts lowering-operator factors.  Classical slices carry the PBW
-basis in root vectors (positive roots ordered by height, then
-lexicographically) with recursive straightening.  Quantum slices use words
-in the simple f_i, with linear coordinates obtained through the Shapovalov
-(contravariant) form; for sl2 the two bases coincide.
+One engine serves both flavours.  A vector is a sparse combination of words
+in the simple f_i (word[0] outermost), and depth counts letters.  e_i acts
+by e_i f_j w = f_j e_i w + delta_ij [e_i, f_i] w, so a flavour only supplies
+the scalar by which [e_i, f_i] acts on a weight vector (h_i classically,
+(K_i - K_i^-1)/(q - q^-1) quantumly) and the K_i^-1 factor of the coproduct
+(1 classically).  Each weight space is spanned by the words of its Kostant
+partitions (`VermaSlice.weight_basis`), and coordinates in that basis come
+from one solve of the Shapovalov (contravariant) Gram system per block.
 
 The contravariant form satisfies <f u, v> = <u, e v> with <x, x> = 1, and
 is nondegenerate at symbolic lambda, which is what makes the word
@@ -20,10 +23,9 @@ coordinates exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
-from .linalg import Mat, rank_of, solve_dense
-from .rootdata import RootDatumError, mat_bracket, weight_add, weight_scale, weight_sub
+from .linalg import Mat, solve_dense
+from .rootdata import RootDatumError, weight_add, weight_scale, weight_sub
 
 
 class VermaError(Exception):
@@ -103,7 +105,6 @@ def root_partitions(datum, nu):
         if idx == len(roots):
             return
         beta = roots[idx]
-        hb = datum.root_height(beta)
         m = 0
         res = residue
         while True:
@@ -131,180 +132,28 @@ def ordered_positive_roots(datum):
     return roots
 
 
-class VermaSliceC:
-    """Classical depth-truncated Verma module over U(n_-)."""
+def _root_word(datum, beta):
+    """The word (a, a+1, ..., b-1) of the root eps_a - eps_b; (0,) for sl2."""
+    if datum.sl2_model:
+        return (0,)
+    a = next(k for k, x in enumerate(beta) if x > 0)
+    b = next(k for k, x in enumerate(beta) if x < 0)
+    return tuple(range(a, b))
+
+
+class VermaSlice:
+    """Depth-truncated Verma module on words in the simple f_i.
+
+    A flavour subclass supplies `cartan(i, drop)`, the scalar of [e_i, f_i]
+    on weight lambda + offset - drop, and `k_inverse(i, drop)`, the K_i^-1
+    factor there that the coproduct puts on the slice side.
+    """
+
+    quantum = False
 
     def __init__(self, datum, offset, depth):
         self.datum = datum
-        self.quantum = False
-        self.ctx = datum.classical_field()
-        self.offset = tuple(Fraction(x) for x in offset)
-        self.depth = depth
-        self.roots = ordered_positive_roots(datum)
-        self.basis = self._enumerate_basis()
-        self.index = {m: k for k, m in enumerate(self.basis)}
-        self._act_cache = {}
-        self._gram_cache = {}
-
-    def _enumerate_basis(self):
-        out = []
-
-        def rec(i, exps, left):
-            if i == len(self.roots):
-                out.append(tuple(exps))
-                return
-            for c in range(left + 1):
-                rec(i + 1, exps + [c], left - c)
-
-        rec(0, [], self.depth)
-        out.sort(key=lambda m: (sum(m), m))
-        return out
-
-    def drop_of(self, mono):
-        nu = self.datum.zero_weight
-        for k, beta in zip(mono, self.roots):
-            if k:
-                nu = weight_add(nu, weight_scale(beta, k))
-        return nu
-
-    def weight_basis(self, nu):
-        return [m for m in self.basis if self.drop_of(m) == tuple(nu)]
-
-    def empty_key(self):
-        return (0,) * len(self.roots)
-
-    # -- straightening -------------------------------------------------------
-
-    def act_pure(self, part, mono):
-        """Action of a pure element ('e', j) | ('f', j) | ('h', diag) on a
-        basis monomial, as a sparse vector {mono: Scalar}."""
-        key = (part, mono)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
-        kind = part[0]
-        if all(k == 0 for k in mono):
-            if kind == "e":
-                out = {}
-            elif kind == "h":
-                val = self.datum.lambda_of_diag(list(part[1]), self.ctx, self.offset)
-                out = {mono: val} if not val.is_zero else {}
-            else:
-                j = part[1]
-                if 1 <= self.depth:
-                    unit = list(mono)
-                    unit[j] += 1
-                    out = {tuple(unit): self.ctx.one}
-                else:
-                    out = {}
-        else:
-            lead = next(i for i, k in enumerate(mono) if k)
-            if kind == "f" and part[1] <= lead:
-                if sum(mono) + 1 <= self.depth:
-                    bumped = list(mono)
-                    bumped[part[1]] += 1
-                    out = {tuple(bumped): self.ctx.one}
-                else:
-                    out = {}
-            else:
-                rest = list(mono)
-                rest[lead] -= 1
-                rest = tuple(rest)
-                sub = self.act_pure(part, rest)
-                out = self._prepend_f(lead, sub)
-                x = self._pure_matrix(part)
-                flead = self.datum.root_vector(self.roots[lead], negative=True)
-                bracket = mat_bracket(x, flead)
-                for bpart, coeff in self._decompose_pure(bracket):
-                    for m, v in self.act_pure(bpart, rest).items():
-                        _accumulate(out, m, v * coeff)
-        self._act_cache[key] = out
-        return out
-
-    def _prepend_f(self, j, vec):
-        out = {}
-        for m, v in vec.items():
-            for m2, v2 in self.act_pure(("f", j), m).items():
-                _accumulate(out, m2, v * v2)
-        return out
-
-    def _pure_matrix(self, part):
-        if part[0] == "e":
-            return self.datum.root_vector(self.roots[part[1]])
-        if part[0] == "f":
-            return self.datum.root_vector(self.roots[part[1]], negative=True)
-        diag = part[1]
-        out = {}
-        for a, d in enumerate(diag):
-            if d:
-                out[(a, a)] = Fraction(d)
-        return out
-
-    def _decompose_pure(self, x):
-        pos, diag, neg = self.datum.decompose(x)
-        parts = []
-        root_index = {tuple(b): i for i, b in enumerate(self.roots)}
-        for alpha, c in pos.items():
-            parts.append((("e", root_index[tuple(alpha)]), self.ctx.from_fraction(c)))
-        for alpha, c in neg.items():
-            parts.append((("f", root_index[tuple(alpha)]), self.ctx.from_fraction(c)))
-        if any(diag):
-            parts.append((("h", tuple(diag)), self.ctx.one))
-        return parts
-
-    def act_matrix(self, x, vec):
-        """Action of an arbitrary Lie algebra element on a sparse vector."""
-        out = {}
-        for part, coeff in self._decompose_pure(x):
-            for m, v in vec.items():
-                for m2, v2 in self.act_pure(part, m).items():
-                    _accumulate(out, m2, v * v2 * coeff)
-        return out
-
-    def act_simple(self, kind, i, vec):
-        """Simple-generator action (kind 'e' or 'f') on a sparse vector."""
-        alpha = self.datum.simple_roots[i]
-        neg = kind == "f"
-        x = self.datum.root_vector(alpha, negative=neg)
-        return self.act_matrix(x, vec)
-
-    # -- shapovalov -----------------------------------------------------------
-
-    def pairing(self, m1, m2):
-        """Contravariant form <m1 x, m2 x>."""
-        key = (m1, m2)
-        hit = self._gram_cache.get(key)
-        if hit is not None:
-            return hit
-        if all(k == 0 for k in m1):
-            out = self.ctx.one if all(k == 0 for k in m2) else self.ctx.zero
-        else:
-            lead = next(i for i, k in enumerate(m1) if k)
-            rest = list(m1)
-            rest[lead] -= 1
-            rest = tuple(rest)
-            raised = self.act_pure(("e", lead), m2)
-            out = self.ctx.zero
-            for m, v in raised.items():
-                out = out + v * self.pairing(rest, m)
-        self._gram_cache[key] = out
-        return out
-
-    gram = shapovalov_gram
-
-    def coords(self, nu, vecs):
-        """Coordinates of weight-nu sparse vectors in weight_basis(nu)."""
-        keys = self.weight_basis(nu)
-        return [[vec.get(k, self.ctx.zero) for k in keys] for vec in vecs]
-
-
-class VermaSliceQ:
-    """Quantum depth-truncated Verma module via words in the simple f_i."""
-
-    def __init__(self, datum, offset, depth):
-        self.datum = datum
-        self.quantum = True
-        self.ctx = datum.quantum_field()
+        self.ctx = datum.quantum_field() if self.quantum else datum.classical_field()
         self.offset = tuple(Fraction(x) for x in offset)
         self.depth = depth
         self._e_cache = {}
@@ -320,37 +169,24 @@ class VermaSliceQ:
             nu = weight_add(nu, self.datum.simple_roots[i])
         return nu
 
-    def _k_value(self, i, drop):
-        """K_i on a vector of weight lambda + offset - drop."""
-        datum, ctx = self.datum, self.ctx
-        alpha = datum.simple_roots[i]
-        const = datum.pairing(alpha, weight_sub(self.offset, drop))
-        k2 = 2 * Fraction(const)
-        if k2.denominator != 1:
-            raise VermaError("K eigenvalue not Laurent in s")
-        return datum.q_lambda_pairing(ctx, alpha) * ctx.s ** int(k2)
-
     def e_word(self, i, word):
         """e_i applied to a word vector; a sparse {word: Scalar}."""
         key = (i, word)
         hit = self._e_cache.get(key)
         if hit is not None:
             return hit
-        if not word:
-            out = {}
-        else:
+        out = {}
+        if word:
             j, rest = word[0], word[1:]
-            out = {}
             for w, v in self.e_word(i, rest).items():
                 out[(j,) + w] = v
             if i == j:
-                ctx = self.ctx
-                kv = self._k_value(i, self.drop_of(rest))
-                _accumulate(out, rest, (kv - 1 / kv) / (ctx.s ** 2 - ctx.s ** -2))
+                _accumulate(out, rest, self.cartan(i, self.drop_of(rest)))
         self._e_cache[key] = out
         return out
 
     def act_simple(self, kind, i, vec):
+        """Simple-generator action (kind 'e' or 'f') on a sparse vector."""
         out = {}
         if kind == "f":
             for w, v in vec.items():
@@ -363,6 +199,7 @@ class VermaSliceQ:
         return out
 
     def pairing(self, w1, w2):
+        """Contravariant form <f_w1 x, f_w2 x>."""
         key = (w1, w2)
         hit = self._pair_cache.get(key)
         if hit is not None:
@@ -378,53 +215,27 @@ class VermaSliceQ:
         return out
 
     def weight_basis(self, nu):
+        """One word per Kostant partition of nu: the root words of the
+        partition concatenated in non-increasing order.
+
+        These are the good Lyndon words of type A, whose monomials form a
+        basis of U(n_-) (Lalonde-Ram 1995) and of U_q(n_-) (Leclerc 2004),
+        so no rank test is made here; `coords` still raises on a singular
+        Gram system.
+        """
         nu = tuple(Fraction(x) for x in nu)
         hit = self._basis_cache.get(nu)
         if hit is not None:
             return hit
-        ht = self.datum.root_height(nu)
-        if ht > self.depth:
+        if self.datum.root_height(nu) > self.depth:
             raise VermaError(f"weight drop {nu} beyond slice depth")
-        target = kostant(self.datum, nu)
-        # content of nu in simple roots
-        coeffs = self._simple_content(nu)
-        letters = []
-        for i, c in enumerate(coeffs):
-            letters += [i] * c
-        candidates = sorted(set(permutations(letters)))
-        chosen = []
-        for w in candidates:
-            if len(chosen) == target:
-                break
-            trial = chosen + [w]
-            g = [[self.pairing(a, b) for b in trial] for a in trial]
-            if rank_of(g, len(trial)) == len(trial):
-                chosen.append(w)
-        if len(chosen) != target:
-            raise VermaError("could not select an independent word basis")
-        self._basis_cache[nu] = chosen
-        return chosen
-
-    def _simple_content(self, nu):
-        # type A: invert the simple-root coordinate change exactly
-        rank = self.datum.rank
-        coeffs = []
-        if self.datum.sl2_model:
-            c = Fraction(nu[0]) / 2
-            coeffs = [c]
-        else:
-            acc = Fraction(0)
-            for a in range(rank):
-                acc += Fraction(nu[a])
-                coeffs.append(acc)
+        words = [_root_word(self.datum, beta) for beta in ordered_positive_roots(self.datum)]
         out = []
-        for c in coeffs:
-            if c.denominator != 1 or c < 0:
-                raise VermaError(f"{nu} is not a nonnegative root combination")
-            out.append(int(c))
+        for exps in root_partitions(self.datum, nu):
+            parts = sorted((w for w, k in zip(words, exps) for _ in range(k)), reverse=True)
+            out.append(sum(parts, ()))
+        self._basis_cache[nu] = out
         return out
-
-    gram = shapovalov_gram
 
     def coords(self, nu, vecs):
         """Coordinates of weight-nu sparse vectors in weight_basis(nu): one
@@ -440,6 +251,47 @@ class VermaSliceQ:
                 rhs.set(i, col, acc)
         x = self.gram(nu).solve(rhs)
         return [[x[i, col] for i in range(len(keys))] for col in range(len(vecs))]
+
+
+# Both flavours bind `gram` and `coords` in their own class body: the span
+# tracer of the benchmark wraps them per class, through the class __dict__.
+
+class VermaSliceC(VermaSlice):
+    """Classical slice: [e_i, f_i] = h_i and K_i = 1."""
+
+    def cartan(self, i, drop):
+        """h_i on weight lambda + offset - drop: (lambda + offset - drop, alpha_i)."""
+        alpha = self.datum.simple_roots[i]
+        return self.datum.lambda_pairing(self.ctx, alpha) + self.ctx.from_fraction(
+            self.datum.pairing(alpha, weight_sub(self.offset, drop)))
+
+    def k_inverse(self, i, drop):
+        return self.ctx.one
+
+    gram = shapovalov_gram
+    coords = VermaSlice.coords
+
+
+class VermaSliceQ(VermaSlice):
+    """Quantum slice: [e_i, f_i] = (K_i - K_i^-1)/(q - q^-1), q = s^2."""
+
+    quantum = True
+
+    def cartan(self, i, drop):
+        kinv = self.k_inverse(i, drop)
+        return (1 / kinv - kinv) / (self.ctx.s ** 2 - self.ctx.s ** -2)
+
+    def k_inverse(self, i, drop):
+        """K_i^-1 on weight lambda + offset - drop, q^-(lambda + offset - drop, alpha_i)."""
+        datum, ctx = self.datum, self.ctx
+        alpha = datum.simple_roots[i]
+        k2 = -2 * Fraction(datum.pairing(alpha, weight_sub(self.offset, drop)))
+        if k2.denominator != 1:
+            raise VermaError("K eigenvalue not Laurent in s")
+        return datum.q_lambda_pairing(ctx, alpha, factor=-1) * ctx.s ** int(k2)
+
+    gram = shapovalov_gram
+    coords = VermaSlice.coords
 
 
 def verma_slice(datum, offset, depth, quantum=False):
@@ -522,13 +374,9 @@ def solve_intertwiner(slice_, aux, v_index):
                 # contributions of solved components at drop mu via K (x) e_i
                 known = solved_drops.get(tuple(mu), [])
                 kn_vec = {}
+                kval = slice_.k_inverse(i, mu)
                 for (key, u) in known:
                     c = solution[(key, u)]
-                    if slice_.quantum:
-                        kscal = slice_._k_value(i, mu)
-                        kval = 1 / kscal
-                    else:
-                        kval = ctx.one
                     for (r, uc, vv) in aux.e(i).entries():
                         if uc == u:
                             mu_pos = mu_keys.index(key) if key in mu_keys else None
@@ -572,42 +420,19 @@ def solve_intertwiner(slice_, aux, v_index):
 
 def apply_coproduct_word(phi, letters):
     """Delta(f_word) applied to Phi(x): the value Phi(f_word . x) as a sparse
-    {(key, aux): Scalar}.  letters are slice letters: root indices for the
-    classical PBW slice, simple indices quantumly, applied left to right as
-    written (word[0] outermost)."""
+    {(key, aux): Scalar}.  letters are simple indices, applied left to right
+    as written (word[0] outermost), with Delta(f_i) = f_i (x) K_i + 1 (x) f_i
+    and K_i = 1 classically."""
     slice_, aux, ctx = phi.slice, phi.aux, phi.slice.ctx
     vec = dict(phi.image)
-    for letter in reversed(letters):
+    for i in reversed(letters):
         nxt = {}
-        if slice_.quantum:
-            i = letter
-            for (key, u), c in vec.items():
-                # f_i (x) K_i
-                for key2, v2 in slice_.act_simple("f", i, {key: ctx.one}).items():
-                    _accumulate(nxt, (key2, u), c * v2 * aux.k_power(i, u))
-                # 1 (x) f_i
-                for (r, uc, vv) in aux.f(i).entries():
-                    if uc == u:
-                        _accumulate(nxt, (key, r), c * vv)
-        else:
-            root_idx = letter
-            beta = slice_.roots[root_idx]
-            aux_f = aux.root_action(beta, negative=True)
-            for (key, u), c in vec.items():
-                for key2, v2 in slice_.act_pure(("f", root_idx), key).items():
-                    _accumulate(nxt, (key2, u), c * v2)
-                for (r, uc, vv) in aux_f.entries():
-                    if uc == u:
-                        _accumulate(nxt, (key, r), c * vv)
+        for (key, u), c in vec.items():
+            k = aux.k_power(i, u) if slice_.quantum else ctx.one
+            for key2, v2 in slice_.act_simple("f", i, {key: ctx.one}).items():
+                _accumulate(nxt, (key2, u), c * v2 * k)
+            for (r, uc, vv) in aux.f(i).entries():
+                if uc == u:
+                    _accumulate(nxt, (key, r), c * vv)
         vec = nxt
     return vec
-
-
-def key_letters(slice_, key):
-    """The letter sequence of a slice basis key, outermost first."""
-    if slice_.quantum:
-        return list(key)
-    letters = []
-    for idx, k in enumerate(key):
-        letters += [idx] * k
-    return letters

@@ -5,6 +5,11 @@ body: as a name, an attribute, an imported name, or a string that is a
 dotted name (how `perfbench/tracer.py` and `getattr` reach their targets)
 anywhere in `src/`, `tests/` or `perfbench/`.  Dunder methods are called by
 the interpreter and are exempt.
+
+Blind spot: references are matched by bare name, with no receiver type, so
+a dead method that shares its name with a live one (`inverse`, `copy`,
+`is_weight_zero` are each defined on several classes) passes.  Such methods
+are only found by checking the receiver of every call by hand.
 """
 
 import ast

@@ -1,6 +1,6 @@
 import pytest
 
-from dybax.linalg import solve_dense
+from dybax.linalg import rank_of, solve_dense
 from dybax.reps import vector_rep
 from dybax.rootdata import build_type_A
 from dybax.verma import (
@@ -17,20 +17,22 @@ from dybax.verma import (
 def test_sl2_basis_and_straightening():
     datum = build_type_A(2, "sl")
     sl = verma_slice(datum, (0,), 2)
-    assert sl.basis == [(0,), (1,), (2,)]
+    assert [sl.weight_basis(nu) for nu in enumerate_drops(datum, 2)] == [[()], [(0,)], [(0, 0)]]
     # e f^2 x = (2 lambda - 2) f x at highest weight lambda
     ctx = sl.ctx
-    out = sl.act_simple("e", 0, {(2,): ctx.one})
-    assert set(out) == {(1,)}
-    assert out[(1,)] == 2 * ctx.lam(0) - 2
+    out = sl.act_simple("e", 0, {(0, 0): ctx.one})
+    assert set(out) == {(0,)}
+    assert out[(0,)] == 2 * ctx.lam(0) - 2
     # weight of f x is lambda - alpha
-    assert sl.drop_of((1,)) == (2,)
+    assert sl.drop_of((0,)) == (2,)
 
 
 def test_gl3_slice_dimension():
     datum = build_type_A(3, "gl")
     sl = verma_slice(datum, (0, 0, 0), 2)
-    assert len(sl.basis) == 10  # 1 + 3 + (3 + 3)
+    dims = [len(sl.weight_basis(nu)) for nu in enumerate_drops(datum, 2)]
+    # depth counts simple letters, so heights 0, 1, 2: 1 + 2 + (1 + 2 + 1)
+    assert sum(dims) == 7
 
 
 def test_shapovalov_sl2():
@@ -69,12 +71,12 @@ def test_intertwiner_sl2_classical():
     phi = solve_intertwiner(sl, v, 1)
     ctx = sl.ctx
     lam = ctx.lam(0)
-    assert phi.image[((0,), 1)] == ctx.one
-    assert phi.image[((1,), 0)] == -1 / (lam + 1)
+    assert phi.image[((), 1)] == ctx.one
+    assert phi.image[((0,), 0)] == -1 / (lam + 1)
     # Phi^{v+} has no lower terms
     sl2 = verma_slice(datum, (-1,), 1)
     phi2 = solve_intertwiner(sl2, v, 0)
-    assert set(k for k, c in phi2.image.items() if not c.is_zero) == {((0,), 0)}
+    assert set(k for k, c in phi2.image.items() if not c.is_zero) == {((), 0)}
 
 
 def test_intertwiner_sl2_quantum():
@@ -106,10 +108,7 @@ def test_intertwiner_singular_property():
                 for key2, v2 in sl.act_simple("e", i, {key: ctx.one}).items():
                     cell = (key2, u)
                     acc[cell] = acc.get(cell, ctx.zero) + c * v2
-                if quantum:
-                    kinv = 1 / sl._k_value(i, sl.drop_of(key))
-                else:
-                    kinv = ctx.one
+                kinv = sl.k_inverse(i, sl.drop_of(key))
                 for (r, uc, vv) in v.e(i).entries():
                     if uc == u:
                         cell = (key, r)
@@ -138,7 +137,7 @@ def test_intertwiner_property_on_slice():
                 cell = (key, r)
                 acc[cell] = acc.get(cell, ctx.zero) + c * vv
     # Phi(e f x) = lambda * Phi(x) at source hw lambda
-    lam_val = src.act_simple("e", 0, {(1,): ctx.one})[(0,)]
+    lam_val = src.act_simple("e", 0, {(0,): ctx.one})[()]
     expect = {cell: c * lam_val for cell, c in phi.image.items()}
     keys = set(acc) | set(expect)
     for k in keys:
@@ -163,28 +162,53 @@ def test_height_or_none_only_absorbs_root_datum_errors():
 def test_quantum_block_coords_match_per_vector_solves():
     # coords(nu, vecs) solves the Gram system once for the e_i-images of a
     # whole weight space; each column must equal its own dense solve and
-    # reproduce <a, vec> for every basis word a
+    # reproduce <a, vec> for every basis word a, in both flavours
     datum = build_type_A(3, "gl")
-    sl = verma_slice(datum, (0, 0, 0), 3, quantum=True)
-    ctx = sl.ctx
     checked = 0
     # 2 alpha_1 + alpha_2, alpha_1 + 2 alpha_2 and alpha_1 + alpha_2
-    for nu in [(2, -1, -1), (1, 1, -2), (1, 0, -1)]:
-        keys = sl.weight_basis(nu)
-        for i in range(datum.rank):
-            mu = tuple(a - b for a, b in zip(nu, datum.simple_roots[i]))
-            mu_keys = sl.weight_basis(mu)
-            vecs = [sl.act_simple("e", i, {key: ctx.one}) for key in keys]
-            block = sl.coords(mu, vecs)
-            g = sl.gram(mu)
-            rows = [[g[r, c] for c in range(len(mu_keys))] for r in range(len(mu_keys))]
-            for vec, got in zip(vecs, block):
-                rhs = [sum((v * sl.pairing(a, w) for w, v in vec.items()), ctx.zero)
-                       for a in mu_keys]
-                assert got == solve_dense(ctx, rows, rhs)
-                for a, target in zip(mu_keys, rhs):
-                    back = sum((c * sl.pairing(a, b) for b, c in zip(mu_keys, got)),
-                               ctx.zero)
-                    assert (back - target).is_zero
-                checked += 1
-    assert checked == 12   # two words times two generators per weight
+    for quantum in (False, True):
+        sl = verma_slice(datum, (0, 0, 0), 3, quantum=quantum)
+        ctx = sl.ctx
+        for nu in [(2, -1, -1), (1, 1, -2), (1, 0, -1)]:
+            keys = sl.weight_basis(nu)
+            for i in range(datum.rank):
+                mu = tuple(a - b for a, b in zip(nu, datum.simple_roots[i]))
+                mu_keys = sl.weight_basis(mu)
+                vecs = [sl.act_simple("e", i, {key: ctx.one}) for key in keys]
+                block = sl.coords(mu, vecs)
+                g = sl.gram(mu)
+                rows = [[g[r, c] for c in range(len(mu_keys))] for r in range(len(mu_keys))]
+                for vec, got in zip(vecs, block):
+                    rhs = [sum((v * sl.pairing(a, w) for w, v in vec.items()), ctx.zero)
+                           for a in mu_keys]
+                    assert got == solve_dense(ctx, rows, rhs)
+                    for a, target in zip(mu_keys, rhs):
+                        back = sum((c * sl.pairing(a, b) for b, c in zip(mu_keys, got)),
+                                   ctx.zero)
+                        assert (back - target).is_zero
+                    checked += 1
+    assert checked == 24   # two words times two generators per weight and flavour
+
+
+@pytest.mark.parametrize("quantum", [False, True])
+def test_word_basis_is_a_kostant_basis(quantum):
+    # weight_basis(nu) is one word of drop nu per Kostant partition, chosen
+    # without a rank test; its Gram matrix must be invertible at symbolic
+    # lambda, on every drop of gl3 and gl4 to height 3 and on the gl4 weight
+    # alpha_1 + 2 alpha_2 + alpha_3
+    cases = [(build_type_A(n, "gl"), 3, None) for n in (3, 4)]
+    cases.append((build_type_A(4, "gl"), 4, [(1, 1, -1, -1)]))
+    for datum, depth, drops in cases:
+        sl = verma_slice(datum, datum.zero_weight, depth, quantum=quantum)
+        for nu in drops or enumerate_drops(datum, depth):
+            words = sl.weight_basis(nu)
+            assert len(set(words)) == len(words) == kostant(datum, nu), nu
+            assert all(sl.drop_of(w) == tuple(nu) for w in words), nu
+            g = sl.gram(nu)
+            if drops is None:
+                g.inverse()
+            else:
+                # full rank, i.e. invertible: the 5 x 5 quantum inverse
+                # itself takes minutes, its forward elimination seconds
+                rows = [[g[r, c] for c in range(g.ncols)] for r in range(g.nrows)]
+                assert rank_of(rows, g.ncols) == g.nrows == 5
