@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from .catalog import (
     BDTriple,
+    ClassicalRMatrix,
     appendixA_r,
     basic_rational_r,
     basic_trig_r,
@@ -270,18 +271,9 @@ def criterion_9():
         mats = classical_limit(j_op, 1)
         ok = ok and mats[0].is_identity()
         tgt = symbol_ctx(datum.n_coords)
-        from .linalg import Mat
-        from .reps import TensorIndex
-        idx = TensorIndex([vc.dim, vc.dim])
-        expected = Mat(vc.dim ** 2, vc.dim ** 2, tgt)
-        for alpha in datum.positive_roots:
-            denom = datum.lambda_pairing(tgt, alpha)
-            ma = vc.classical_action(datum.root_vector(alpha, negative=True))
-            mb = vc.classical_action(datum.root_vector(alpha))
-            for (r1, c1, v1) in ma.entries():
-                for (r2, c2, v2) in mb.entries():
-                    val = -(v1.to_fraction() * v2.to_fraction()) / denom
-                    expected.add_to(idx.flat((r1, r2)), idx.flat((c1, c2)), val)
+        terms = [(datum.root_vector(alpha, negative=True), datum.root_vector(alpha),
+                  -1 / datum.lambda_pairing(tgt, alpha)) for alpha in datum.positive_roots]
+        expected = ClassicalRMatrix(datum, tgt, terms, 0).evaluate(vc, vc).mat
         ok = ok and (mats[1] - expected).is_zero
     return ok
 

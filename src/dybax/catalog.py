@@ -16,10 +16,12 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .fusion import DynOp
-from .linalg import Mat, kernel_basis, rank_of, rref
+from .linalg import Mat, kernel_basis, kron, rank_of, rref
 from .reps import TensorIndex, vector_rep
 from .rootdata import (
+    add_tensor,
     build_type_A,
+    mat_bracket,
     weight_add,
     weight_neg,
     weight_scale,
@@ -73,26 +75,16 @@ class ClassicalRMatrix:
         """Collect into {(E-index pair, E-index pair): Scalar}."""
         out = {}
         for (a, b, c) in self.terms:
-            for (i1, j1), v1 in a.items():
-                for (i2, j2), v2 in b.items():
-                    key = ((i1, j1), (i2, j2))
-                    val = c * Fraction(v1) * Fraction(v2)
-                    cur = out.get(key)
-                    out[key] = val if cur is None else cur + val
+            add_tensor(out, c, a, b)
         return {k: v for k, v in out.items() if not v.is_zero}
 
     def evaluate(self, m1, m2):
-        """Evaluation on a pair of classical weight modules, over self.ctx."""
+        """Evaluation on a pair of classical weight modules, over self.ctx:
+        the sum of c * kron(a, b) over the terms."""
         ctx = self.ctx
-        idx = TensorIndex([m1.dim, m2.dim])
-        out = Mat(idx.size, idx.size, ctx)
+        out = Mat(m1.dim * m2.dim, m1.dim * m2.dim, ctx)
         for (a, b, c) in self.terms:
-            ma = _module_matrix(m1, a, ctx)
-            mb = _module_matrix(m2, b, ctx)
-            for (r1, c1, v1) in ma.entries():
-                for (r2, c2, v2) in mb.entries():
-                    out.add_to(idx.flat((r1, r2)), idx.flat((c1, c2)),
-                               c * v1 * v2)
+            out = out + kron(_module_matrix(m1, a, ctx), _module_matrix(m2, b, ctx)) * c
         return DynOp([m1, m2], out)
 
 
@@ -147,10 +139,11 @@ def basic_trig_r(datum, eps=None):
 def classical_r_zero_coupling(datum, roots):
     """r^l for the reductive subalgebra spanned by h and the given positive
     roots (must be root-closed)."""
+    positive = set(datum.positive_roots)
     chosen = []
     for r in roots:
         t = tuple(Fraction(x) for x in r)
-        if t not in [tuple(p) for p in datum.positive_roots]:
+        if t not in positive:
             raise InvalidSubalgebraError(f"{r} is not a positive root")
         chosen.append(t)
     chosen_set = set(chosen)
@@ -159,16 +152,8 @@ def classical_r_zero_coupling(datum, roots):
             for s1 in (1, -1):
                 for s2 in (1, -1):
                     w = weight_add(weight_scale(a, s1), weight_scale(b, s2))
-                    try:
-                        if w in [tuple(p) for p in datum.positive_roots]:
-                            inside = w in chosen_set
-                        elif tuple(weight_neg(w)) in [tuple(p) for p in datum.positive_roots]:
-                            inside = tuple(weight_neg(w)) in chosen_set
-                        else:
-                            continue
-                    except Exception:
-                        continue
-                    if not inside:
+                    root = w if w in positive else weight_neg(w)
+                    if root in positive and root not in chosen_set:
                         raise InvalidSubalgebraError(
                             "root set is not closed under addition")
     ctx = datum.classical_field()
@@ -182,17 +167,9 @@ def classical_r_zero_coupling(datum, roots):
     return ClassicalRMatrix(datum, ctx, terms, 0, name="r-l")
 
 
-def _span_support(datum, alpha, x_indices):
-    """Is alpha in the root subsystem generated by the simple roots in X?"""
-    if datum.sl2_model:
-        return 0 in x_indices
-    coeffs = []
-    acc = Fraction(0)
-    for c in alpha[:-1]:
-        acc += Fraction(c)
-        coeffs.append(acc)
-    support = {i for i, c in enumerate(coeffs) if c != 0}
-    return support <= set(x_indices)
+def _support(datum, alpha):
+    """The simple roots, by index, that alpha has a nonzero coefficient on."""
+    return [i for i, c in enumerate(datum.simple_coefficients(alpha)) if c]
 
 
 def classical_r_trig_X(datum, x_indices, eps=None, name="r-eps-X"):
@@ -205,7 +182,7 @@ def classical_r_trig_X(datum, x_indices, eps=None, name="r-eps-X"):
     for alpha in datum.positive_roots:
         e_p = datum.root_vector(alpha)
         e_m = datum.root_vector(alpha, negative=True)
-        if _span_support(datum, alpha, x_indices):
+        if set(_support(datum, alpha)) <= set(x_indices):
             # phi_alpha = (eps/2) cotanh((eps/2)(lambda,alpha)); u carries
             # the same eps the w-symbols do
             u = u_alpha(ctx, datum, alpha)
@@ -266,9 +243,8 @@ class BDTriple:
         """Extend tau linearly to roots supported on Gamma1; None if the
         image leaves Gamma2's span or the source leaves Gamma1's."""
         datum = self.datum
-        coeffs = _simple_coefficients(datum, alpha)
         out = datum.zero_weight
-        for i, c in enumerate(coeffs):
+        for i, c in enumerate(datum.simple_coefficients(alpha)):
             if c == 0:
                 continue
             if i not in self.tau:
@@ -279,9 +255,7 @@ class BDTriple:
     def tau_on_vector(self, alpha):
         """tau(e_alpha) with signs from iterated brackets of simple vectors."""
         datum = self.datum
-        from .rootdata import mat_bracket
-        coeffs = _simple_coefficients(datum, alpha)
-        support = [i for i, c in enumerate(coeffs) if c]
+        support = _support(datum, alpha)
         if any(i not in self.tau for i in support):
             return None, None
         target = self.tau_on_root(alpha)
@@ -291,13 +265,10 @@ class BDTriple:
             return datum.root_vector(datum.simple_roots[self.tau[i]]), target
         # alpha = alpha_i + beta with e_alpha = [e_i, e_beta] (type A: the
         # bracket is a unit multiple of the root vector)
+        positive = set(datum.positive_roots)
         for i in support:
             beta = weight_sub(alpha, datum.simple_roots[i])
-            try:
-                datum.root_height(beta)
-            except Exception:
-                continue
-            if tuple(beta) not in [tuple(p) for p in datum.positive_roots]:
+            if beta not in positive:
                 continue
             e_i = datum.root_vector(datum.simple_roots[i])
             e_b = datum.root_vector(beta)
@@ -319,17 +290,6 @@ def _proportionality(x, y):
         if k in x:
             return Fraction(x[k]) / Fraction(v)
     raise CatalogError("matrices not proportional")
-
-
-def _simple_coefficients(datum, alpha):
-    if datum.sl2_model:
-        return [Fraction(alpha[0]) / 2]
-    coeffs = []
-    acc = Fraction(0)
-    for c in alpha[:-1]:
-        acc += Fraction(c)
-        coeffs.append(acc)
-    return coeffs
 
 
 def _in_span(vec, basis):
@@ -408,8 +368,7 @@ def appendixA_r(triple):
         terms.append((e_m, e_p, Fraction(-1, 2)))
     # + sum_{alpha > 0, e_alpha in g_Gamma1} K(lambda) e_alpha wedge f_alpha
     for alpha in datum.positive_roots:
-        coeffs = _simple_coefficients(datum, alpha)
-        support = [i for i, c in enumerate(coeffs) if c]
+        support = _support(datum, alpha)
         if not support or any(i not in triple.tau for i in support):
             continue
         e_m = datum.root_vector(alpha, negative=True)

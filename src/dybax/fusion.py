@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Mat, kron
-from .reps import TensorIndex, constant_R
+from .reps import TensorIndex, constant_R, place_operator
 from .rootdata import weight_add, weight_neg, weight_sub
 from .scalars import CLASSICAL, QUANTUM, aux_ctx
 from .verma import solve_intertwiner, verma_slice
@@ -112,14 +112,7 @@ class DynOp:
         if len(self.factors) != 2:
             raise FusionError("flip21 needs exactly two factors")
         m1, m2 = self.factors
-        src = TensorIndex([m1.dim, m2.dim])
-        dst = TensorIndex([m2.dim, m1.dim])
-        out = Mat(self.dim, self.dim, self.ctx)
-        for (r, c, v) in self.mat.entries():
-            ra, rb = src.multi(r)
-            ca, cb = src.multi(c)
-            out.set(dst.flat((rb, ra)), dst.flat((cb, ca)), v)
-        return DynOp([m2, m1], out)
+        return DynOp([m2, m1], place_operator(self.mat, [m2.dim, m1.dim], 1, 0))
 
     def entry(self, row_multi, col_multi):
         return self.mat[self.index.flat(row_multi), self.index.flat(col_multi)]
@@ -127,10 +120,7 @@ class DynOp:
 
 def place_in_slots(op, factors, slot_a, slot_b):
     """Embed a two-factor DynOp into a larger tensor product."""
-    from .reps import _place_R
-    dims = [m.dim for m in factors]
-    mat = _place_R(op.mat, dims, slot_a, slot_b, op.ctx)
-    return DynOp(factors, mat)
+    return DynOp(factors, place_operator(op.mat, [m.dim for m in factors], slot_a, slot_b))
 
 
 def height_spread(module):
@@ -167,11 +157,8 @@ def fusion_exchange_construction(m1, m2):
             lowered = lowered_cache.get(key)
             if lowered is None:
                 lowered = lowered_cache[key] = _lowering_product(m1, key)
-            for i in range(m1.dim):
-                col = idx.flat((i, j))
-                for (r, cc, vv) in lowered.entries():
-                    if cc == i:
-                        out.add_to(idx.flat((r, u)), col, c * vv)
+            for (r, i, vv) in lowered.entries():
+                out.add_to(idx.flat((r, u)), idx.flat((i, j)), c * vv)
     return DynOp([m1, m2], out)
 
 
@@ -356,8 +343,7 @@ def evaluate_universal_sl2(terms, m1, m2):
     """Evaluate universal fusion coefficients on a pair of sl2 modules."""
     ctx = m1.ctx
     lam = ctx.t(0) if m1.quantum else ctx.lam(0)
-    idx = TensorIndex([m1.dim, m2.dim])
-    out = Mat.identity(idx.size, ctx)
+    out = Mat.identity(m1.dim * m2.dim, ctx)
     f_mat = m1.f(0)
     e_mat = m2.e(0)
     f_pow = Mat.identity(m1.dim, ctx)
@@ -369,12 +355,11 @@ def evaluate_universal_sl2(terms, m1, m2):
         e_pow = e_mat * e_pow
         if f_pow.is_zero or e_pow.is_zero:
             break
+        g_e = Mat(m2.dim, m2.dim, ctx)
         for (r2, c2, ev) in e_pow.entries():
             h = h_value(ctx, m2.weights[r2][0])  # eigenvalue after raising
-            coeff = universal_coefficient(g, ctx, lam, h)
-            for (r1, c1, fv) in f_pow.entries():
-                out.add_to(idx.flat((r1, r2)), idx.flat((c1, c2)),
-                           coeff * fv * ev)
+            g_e.set(r2, c2, universal_coefficient(g, ctx, lam, h) * ev)
+        out = out + kron(f_pow, g_e)
     return DynOp([m1, m2], out)
 
 

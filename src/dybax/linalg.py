@@ -7,10 +7,11 @@ forward pass `_forward` and a back-substitution to reduced row echelon form
 `-` and truthiness (Scalar and Fraction alike).  Its callers:
 
 - `Mat.solve` reduces [A | B] once for a whole block B of right-hand sides;
-  restricting an operator to a submodule, `Mat.inverse` (B = 1),
-  `solve_dense` (one column) and the quantum Verma coordinates (the Gram
-  matrix of one weight space against all e_i-images of the next) all go
-  through it;
+  restricting an operator to a submodule, `Mat.inverse` (B = 1), the Verma
+  coordinates (the Gram matrix of one weight space against all e_i-images
+  of the next), the intertwiner block of each weight drop (one column per
+  aux index) and `solve_dense` (one column, kept as the tests' oracle) all
+  go through it;
 - `kernel_basis` reads the kernel off the full RREF;
 - `rank_of` counts the pivots of the forward pass alone;
 - the catalog's rational solves (span test, orthocomplement, Gram inverse,

@@ -18,6 +18,7 @@ is the constant vector R-matrix (classically R = 1, so PR = P).
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 from .linalg import Mat, kernel_basis, kron
@@ -185,32 +186,15 @@ def tensor(m1, m2):
     if m1.datum is not m2.datum or m1.quantum != m2.quantum:
         raise ModuleError("tensor factors over different data/flavors")
     datum, quantum, ctx = m1.datum, m1.quantum, m1.ctx
-    idx = TensorIndex([m1.dim, m2.dim])
     labels = [f"{a}(x){b}" for a in m1.labels for b in m2.labels]
-    weights = [weight_add(m1.weights[i], m2.weights[j])
-               for i in range(m1.dim) for j in range(m2.dim)]
+    weights = [weight_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
+    one1, one2 = Mat.identity(m1.dim, ctx), Mat.identity(m2.dim, ctx)
     e_mats, f_mats = {}, {}
     for i in range(datum.rank):
-        e = Mat(idx.size, idx.size, ctx)
-        f = Mat(idx.size, idx.size, ctx)
-        e1, f1 = m1.e(i), m1.f(i)
-        e2, f2 = m2.e(i), m2.f(i)
-        for (r, c, v) in e1.entries():
-            for j in range(m2.dim):
-                e.add_to(idx.flat((r, j)), idx.flat((c, j)), v)
-        for (r, c, v) in e2.entries():
-            for j in range(m1.dim):
-                scale = v if not quantum else v * m1.k_power(i, j, inverse=True)
-                e.add_to(idx.flat((j, r)), idx.flat((j, c)), scale)
-        for (r, c, v) in f1.entries():
-            for j in range(m2.dim):
-                scale = v if not quantum else v * m2.k_power(i, j)
-                f.add_to(idx.flat((r, j)), idx.flat((c, j)), scale)
-        for (r, c, v) in f2.entries():
-            for j in range(m1.dim):
-                f.add_to(idx.flat((j, r)), idx.flat((j, c)), v)
-        e_mats[i] = e
-        f_mats[i] = f
+        k1_inv = m1.k_diag(i, inverse=True) if quantum else one1
+        k2 = m2.k_diag(i) if quantum else one2
+        e_mats[i] = kron(m1.e(i), one2) + kron(k1_inv, m2.e(i))
+        f_mats[i] = kron(m1.f(i), k2) + kron(one1, m2.f(i))
     return WeightModule(datum, quantum, labels, weights, e_mats, f_mats,
                         provenance=("tensor", m1, m2))
 
@@ -300,14 +284,14 @@ def constant_R(m1, m2):
     if k1 == "tensor":
         a, b = m1.provenance[1], m1.provenance[2]
         # R_{(A(x)B),C} = R_13 R_23 on A (x) B (x) C
-        r13 = _place_R(constant_R(a, m2), [a.dim, b.dim, m2.dim], 0, 2, ctx)
-        r23 = _place_R(constant_R(b, m2), [a.dim, b.dim, m2.dim], 1, 2, ctx)
+        r13 = place_operator(constant_R(a, m2), [a.dim, b.dim, m2.dim], 0, 2)
+        r23 = place_operator(constant_R(b, m2), [a.dim, b.dim, m2.dim], 1, 2)
         return r13 * r23
     if k2 == "tensor":
         a, b = m2.provenance[1], m2.provenance[2]
         # R_{A,(B(x)C)} = R_13 R_12 on A (x) B (x) C
-        r13 = _place_R(constant_R(m1, b), [m1.dim, a.dim, b.dim], 0, 2, ctx)
-        r12 = _place_R(constant_R(m1, a), [m1.dim, a.dim, b.dim], 0, 1, ctx)
+        r13 = place_operator(constant_R(m1, b), [m1.dim, a.dim, b.dim], 0, 2)
+        r12 = place_operator(constant_R(m1, a), [m1.dim, a.dim, b.dim], 0, 1)
         return r13 * r12
     if k1 == "vector" and k2 == "vector":
         return vector_R_matrix(m1.datum, m1.quantum, ctx)
@@ -328,31 +312,23 @@ def partial_transpose(mat, d1, d2, slot, ctx):
     return out
 
 
-def _place_R(r, dims, slot_a, slot_b, ctx):
-    """Embed a two-slot operator into the tensor product with given dims."""
+def place_operator(r, dims, slot_a, slot_b):
+    """The two-slot operator r acting in slots (slot_a, slot_b) of the tensor
+    product with factor dimensions dims, and as the identity elsewhere."""
     idx = TensorIndex(dims)
     pair = TensorIndex([dims[slot_a], dims[slot_b]])
-    out = Mat(idx.size, idx.size, ctx)
     others = [k for k in range(len(dims)) if k not in (slot_a, slot_b)]
-
-    def rec(pos, fixed):
-        if pos == len(others):
-            for (rr, cc, v) in r.entries():
-                ra, rb = pair.multi(rr)
-                ca, cb = pair.multi(cc)
-                row = list(fixed)
-                col = list(fixed)
-                row[slot_a], row[slot_b] = ra, rb
-                col[slot_a], col[slot_b] = ca, cb
-                out.add_to(idx.flat(tuple(row)), idx.flat(tuple(col)), v)
-            return
-        k = others[pos]
-        base = list(fixed)
-        for val in range(dims[k]):
-            base[k] = val
-            rec(pos + 1, tuple(base))
-
-    rec(0, tuple([0] * len(dims)))
+    cells = [(pair.multi(rr), pair.multi(cc), v) for rr, cc, v in r.entries()]
+    out = Mat(idx.size, idx.size, r.ctx)
+    for rest in product(*(range(dims[k]) for k in others)):
+        row = [0] * len(dims)
+        for k, x in zip(others, rest):
+            row[k] = x
+        col = list(row)
+        for (ra, rb), (ca, cb), v in cells:
+            row[slot_a], row[slot_b] = ra, rb
+            col[slot_a], col[slot_b] = ca, cb
+            out.set(idx.flat(row), idx.flat(col), v)
     return out
 
 
@@ -383,7 +359,7 @@ def _power_projector_rows(module, power, anti):
     killer = sym if anti else asym
     dims = [n] * power
     idx = TensorIndex(dims)
-    mats = [_place_R(killer, dims, k, k + 1, ctx) for k in range(power - 1)]
+    mats = [place_operator(killer, dims, k, k + 1) for k in range(power - 1)]
     return mats, idx
 
 

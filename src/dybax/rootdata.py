@@ -13,6 +13,8 @@ Lie algebra elements are sparse rational matrices: dicts {(a, b): Fraction}.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, product
+from math import prod
 
 from .scalars import classical_ctx, quantum_ctx
 
@@ -55,6 +57,18 @@ def mat_mul(x, y):
 
 def mat_bracket(x, y):
     return mat_add(mat_mul(x, y), mat_mul(y, x), -1)
+
+
+def add_tensor(acc, coeff, *factors):
+    """acc[(k_1, ..., k_m)] += coeff * x_1[k_1] * ... * x_m[k_m] over the
+    entries of the factors x_1 (x) ... (x) x_m; a key that cancels stays."""
+    if coeff.is_zero:
+        return
+    for cells in product(*(x.items() for x in factors)):
+        key = tuple(k for k, _ in cells)
+        val = coeff * prod(Fraction(v) for _, v in cells)
+        cur = acc.get(key)
+        acc[key] = val if cur is None else cur + val
 
 
 def weight_add(a, b):
@@ -111,26 +125,24 @@ class RootDatum:
             return Fraction(mu[0]) * Fraction(nu[0]) / 2
         return sum(Fraction(a) * Fraction(b) for a, b in zip(mu, nu))
 
+    def simple_coefficients(self, nu):
+        """Coefficients of nu in the simple roots; raises off the span of the
+        root lattice."""
+        if self.sl2_model:
+            return [Fraction(nu[0]) / 2]
+        # nu = sum c_a eps_a has the partial sums c_1, c_1 + c_2, ... as its
+        # simple-root coefficients, and lies in the span iff all c_a sum to 0
+        coeffs = list(accumulate(Fraction(c) for c in nu))
+        if coeffs.pop() != 0:
+            raise RootDatumError(f"{nu} is not in the root lattice span")
+        return coeffs
+
     def root_height(self, nu):
         """Height of a nonnegative sum of simple roots; raises otherwise."""
-        if self.sl2_model:
-            coeffs = [Fraction(nu[0]) / 2]
-        else:
-            # simple-root coefficients of nu = sum c_a eps_a are the partial
-            # sums c_1, c_1+c_2, ...
-            coeffs = []
-            acc = Fraction(0)
-            for c in nu[:-1]:
-                acc += Fraction(c)
-                coeffs.append(acc)
-            if acc + Fraction(nu[-1]) != 0:
-                raise RootDatumError(f"{nu} is not in the root lattice span")
-        h = Fraction(0)
-        for c in coeffs:
-            if c.denominator != 1 or c < 0:
-                raise RootDatumError(f"{nu} is not a sum of positive roots")
-            h += c
-        return int(h)
+        coeffs = self.simple_coefficients(nu)
+        if any(c.denominator != 1 or c < 0 for c in coeffs):
+            raise RootDatumError(f"{nu} is not a sum of positive roots")
+        return int(sum(coeffs))
 
     # -- Lie algebra structure ------------------------------------------------
 

@@ -51,8 +51,7 @@ def module_json(module):
     for i in range(module.datum.rank):
         for kind in ("e", "f"):
             mat = module.e(i) if kind == "e" else module.f(i)
-            entries = {f"{r},{c}": v.to_text() for (r, c, v) in sorted(mat.entries())}
-            out["actions"][f"{kind}{i + 1}"] = entries
+            out["actions"][f"{kind}{i + 1}"] = matrix_entries(mat)
     return out
 
 

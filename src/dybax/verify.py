@@ -16,6 +16,7 @@ from .catalog import ClassicalRMatrix
 from .fusion import DynOp, fusion_exchange_construction, place_in_slots
 from .linalg import Mat
 from .reps import TensorIndex, permutation_matrix, tensor
+from .rootdata import add_tensor, mat_bracket
 from .scalars import QUANTUM
 
 
@@ -55,15 +56,21 @@ class ResidualReport:
         return out
 
 
-def _report_from_matrix(equation, operands, mat, indexer=None):
+def _report(equation, operands, pairs):
+    """A report over sorted (key, value) pairs: every pair counts as checked,
+    and the first nonzero value is the witness."""
     witness = None
     count = 0
-    for (r, c, v) in sorted(mat.entries()):
+    for key, v in pairs:
         count += 1
         if not v.is_zero and witness is None:
-            key = (r, c) if indexer is None else (indexer(r), indexer(c))
             witness = (key, v.to_text())
     return ResidualReport(equation, operands, witness is None, witness, count)
+
+
+def _matrix_pairs(mat, idx):
+    """The stored entries of mat in index order, keyed by multi-indices."""
+    return (((idx.multi(r), idx.multi(c)), v) for (r, c, v) in sorted(mat.entries()))
 
 
 def qdybe_residual(rop, name="R"):
@@ -83,7 +90,7 @@ def qdybe_residual(rop, name="R"):
     rhs = r23 * r13.shifted(1) * r12
     diff = lhs.mat - rhs.mat
     idx = TensorIndex([v.dim, v.dim, v.dim])
-    return _report_from_matrix("qdybe", name, diff, idx.multi)
+    return _report("qdybe", name, _matrix_pairs(diff, idx))
 
 
 def cdybe_residual(rmat, name=None):
@@ -92,49 +99,24 @@ def cdybe_residual(rmat, name=None):
     Alt(sum_j h_j (x) d/dl_j applied to r) + [r12,r13]+[r12,r23]+[r13,r23],
     expanded over the elementary-matrix basis of g (x) g (x) g.
     """
-    datum, ctx = rmat.datum, rmat.ctx
     name = name or rmat.name
     acc = {}
-
-    def add_tensor(a, b, c, coeff):
-        if coeff.is_zero:
-            return
-        for (i1, j1), v1 in a.items():
-            for (i2, j2), v2 in b.items():
-                for (i3, j3), v3 in c.items():
-                    val = coeff * (Fraction(v1) * Fraction(v2) * Fraction(v3))
-                    key = ((i1, j1), (i2, j2), (i3, j3))
-                    cur = acc.get(key)
-                    acc[key] = val if cur is None else cur + val
-
     # derivative part (r-matrices defined on l* carry their own pairs)
     for (h, coord) in rmat.cartan_pairs():
         for (a, b, c) in rmat.terms:
-            dc = c.diff_lambda(coord, eps=rmat.w_eps) if ctx.mode == "symbol" \
-                else c.diff_lambda(coord)
-            if dc.is_zero:
-                continue
-            add_tensor(h, a, b, dc)                 # x^(1) d r^23
-            add_tensor(a, h, b, -dc)                # -x^(2) d r^13
-            add_tensor(a, b, h, dc)                 # +x^(3) d r^12
+            dc = c.diff_lambda(coord, eps=rmat.w_eps)
+            add_tensor(acc, dc, h, a, b)            # x^(1) d r^23
+            add_tensor(acc, -dc, a, h, b)           # -x^(2) d r^13
+            add_tensor(acc, dc, a, b, h)            # +x^(3) d r^12
     # commutator part
-    from .rootdata import mat_bracket
     terms = rmat.terms
     for (a1, b1, c1) in terms:
         for (a2, b2, c2) in terms:
             cc = c1 * c2
-            if cc.is_zero:
-                continue
-            add_tensor(mat_bracket(a1, a2), b1, b2, cc)   # [r12, r13]
-            add_tensor(a1, mat_bracket(b1, a2), b2, cc)   # [r12, r23]
-            add_tensor(a1, a2, mat_bracket(b1, b2), cc)   # [r13, r23]
-    witness = None
-    count = 0
-    for key in sorted(acc):
-        count += 1
-        if not acc[key].is_zero and witness is None:
-            witness = (key, acc[key].to_text())
-    return ResidualReport("cdybe", name, witness is None, witness, count)
+            add_tensor(acc, cc, mat_bracket(a1, a2), b1, b2)   # [r12, r13]
+            add_tensor(acc, cc, a1, mat_bracket(b1, a2), b2)   # [r12, r23]
+            add_tensor(acc, cc, a1, a2, mat_bracket(b1, b2))   # [r13, r23]
+    return _report("cdybe", name, sorted(acc.items()))
 
 
 def hecke_parameter(rop):
@@ -161,7 +143,7 @@ def hecke_check(rop, q, name="R"):
                 return ResidualReport("hecke", name, False,
                                       ((idx.multi(r), (a, a)), m1[r, col].to_text()))
     quad = m1 * (pr.mat + ident * q)
-    return _report_from_matrix("hecke", name, quad, idx.multi)
+    return _report("hecke", name, _matrix_pairs(quad, idx))
 
 
 def unitarity_check(rmat, eps=None, name=None):
@@ -170,29 +152,12 @@ def unitarity_check(rmat, eps=None, name=None):
     eps = rmat.coupling if eps is None else ctx(eps)
     name = name or rmat.name
     acc = {}
-
-    def add(a, b, coeff):
-        if coeff.is_zero:
-            return
-        for (i1, j1), v1 in a.items():
-            for (i2, j2), v2 in b.items():
-                key = ((i1, j1), (i2, j2))
-                val = coeff * (Fraction(v1) * Fraction(v2))
-                cur = acc.get(key)
-                acc[key] = val if cur is None else cur + val
-
     for (a, b, c) in rmat.terms:
-        add(a, b, c)
-        add(b, a, c)
+        add_tensor(acc, c, a, b)
+        add_tensor(acc, c, b, a)
     for (a, b, c) in rmat.datum.casimir():
-        add(a, b, -eps * Fraction(c))
-    witness = None
-    count = 0
-    for key in sorted(acc):
-        count += 1
-        if not acc[key].is_zero and witness is None:
-            witness = (key, acc[key].to_text())
-    return ResidualReport("unitarity", name, witness is None, witness, count)
+        add_tensor(acc, -eps * Fraction(c), a, b)
+    return _report("unitarity", name, sorted(acc.items()))
 
 
 def cocycle_residual(u, w, v, builder=fusion_exchange_construction, name="J"):
@@ -208,7 +173,7 @@ def cocycle_residual(u, w, v, builder=fusion_exchange_construction, name="J"):
     right = DynOp(factors, j_u_wv.mat) * place_in_slots(j_wv, factors, 1, 2)
     diff = left.mat - right.mat
     idx = TensorIndex([u.dim, w.dim, v.dim])
-    return _report_from_matrix("cocycle", name, diff, idx.multi)
+    return _report("cocycle", name, _matrix_pairs(diff, idx))
 
 
 # -- gauge transformations ---------------------------------------------------
@@ -262,11 +227,7 @@ def _check_closed_2form(ctx, datum, coeffs, w_eps):
             for k in range(j + 1, n):
                 diff = (get(i, j).diff_lambda(k, eps=w_eps)
                         - get(i, k).diff_lambda(j, eps=w_eps)
-                        + get(j, k).diff_lambda(i, eps=w_eps)) \
-                    if ctx.mode == "symbol" else (
-                        get(i, j).diff_lambda(k)
-                        - get(i, k).diff_lambda(j)
-                        + get(j, k).diff_lambda(i))
+                        + get(j, k).diff_lambda(i, eps=w_eps))
                 if not diff.is_zero:
                     raise InvalidGaugeError("2-form is not closed")
 

@@ -15,6 +15,11 @@ the scalar by which [e_i, f_i] acts on a weight vector (h_i classically,
 partitions (`VermaSlice.weight_basis`), and coordinates in that basis come
 from one solve of the Shapovalov (contravariant) Gram system per block.
 
+The intertwiner solve keeps the tensor structure of the singular condition:
+at each weight drop the unknown block is (words) x (aux weight space), the
+slice side acts on it as A (x) 1, and the drop is one multi-column solve
+A X = B whose right-hand side comes from the block one simple root below.
+
 The contravariant form satisfies <f u, v> = <u, e v> with <x, x> = 1, and
 is nondegenerate at symbolic lambda, which is what makes the word
 coordinates exact.
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import Mat, solve_dense
+from .linalg import Mat
 from .rootdata import RootDatumError, weight_add, weight_scale, weight_sub
 
 
@@ -326,96 +331,57 @@ def solve_intertwiner(slice_, aux, v_index):
 
     slice_ is the target Verma slice (offset already includes -wt(v)); its
     depth bounds the weight drops, which need the height spread of aux.
+
+    The unknown block at drop nu is X_nu, words of nu by aux indices of
+    weight wt(v) + nu, and Delta(e_i) = e_i (x) 1 + K_i^-1 (x) e_i acts on
+    it as A (x) 1 plus a term from the block solved at nu - alpha_i.  So
+    each drop is one solve A X_nu = B: A has a row per (i, word of
+    nu - alpha_i) holding the e_i-coordinates of the words of nu, and B
+    carries -K_i^-1 (x) e_i applied to X_(nu - alpha_i), one column per aux
+    index.
     """
     datum, ctx = slice_.datum, slice_.ctx
     v_wt = aux.weights[v_index]
     aux_blocks = aux.weight_blocks()
-    drops = enumerate_drops(datum, slice_.depth)
-    unknown_blocks = {}
-    for nu in drops:
-        ht = datum.root_height(nu)
-        if ht == 0:
-            continue
-        target_wt = weight_add(v_wt, nu)
-        cols = aux_blocks.get(target_wt)
-        if not cols:
+    image = {(slice_.empty_key(), v_index): ctx.one}
+    # drop -> ({aux index: column}, solved block)
+    solved = {datum.zero_weight: ({v_index: 0}, Mat.identity(1, ctx))}
+    for nu in enumerate_drops(datum, slice_.depth):
+        cols = aux_blocks.get(weight_add(v_wt, nu))
+        if nu == datum.zero_weight or not cols:
             continue
         keys = slice_.weight_basis(nu)
-        if not keys:
-            continue
-        unknown_blocks[nu] = (keys, cols)
-
-    solution = {(slice_.empty_key(), v_index): ctx.one}
-    by_height = {}
-    for nu in unknown_blocks:
-        by_height.setdefault(datum.root_height(nu), []).append(nu)
-
-    solved_drops = {datum.zero_weight: [(slice_.empty_key(), v_index)]}
-
-    for h in sorted(by_height):
-        for nu in by_height[h]:
-            keys, cols = unknown_blocks[nu]
-            nvars = len(keys) * len(cols)
-            rows = []
-            rhs = []
-            for i in range(datum.rank):
-                mu = weight_sub(nu, datum.simple_roots[i])
-                mu_ht = _height_or_none(datum, mu)
-                if mu_ht is None or mu_ht != h - 1:
-                    if mu_ht is not None and mu_ht >= 0:
-                        raise VermaError("drop bookkeeping error")
-                    continue
-                mu_keys = slice_.weight_basis(mu)
-                # aux indices of the equation block (weight v_wt + nu)
-                eq_cols = cols
-                # coefficient rows: e_i on slice part
-                e_coords = slice_.coords(
-                    mu, [slice_.act_simple("e", i, {key: ctx.one}) for key in keys])
-                # contributions of solved components at drop mu via K (x) e_i
-                known = solved_drops.get(tuple(mu), [])
-                kn_vec = {}
+        at = {u: k for k, u in enumerate(cols)}
+        a_rows, b_rows, nrows = {}, {}, 0
+        for i in range(datum.rank):
+            mu = weight_sub(nu, datum.simple_roots[i])
+            if _height_or_none(datum, mu) is None:
+                continue
+            images = [slice_.act_simple("e", i, {key: ctx.one}) for key in keys]
+            for k, col in enumerate(slice_.coords(mu, images)):
+                for m, c in enumerate(col):
+                    if not c.is_zero:
+                        a_rows.setdefault(nrows + m, {})[k] = c
+            known = solved.get(mu)
+            if known is not None:
+                prev_at, prev = known
+                e_t = Mat(prev.ncols, len(cols), ctx)   # e_i, transposed
+                for r, c, v in aux.e(i).entries():
+                    if c in prev_at:
+                        e_t.set(prev_at[c], at[r], v)
                 kval = slice_.k_inverse(i, mu)
-                for (key, u) in known:
-                    c = solution[(key, u)]
-                    for (r, uc, vv) in aux.e(i).entries():
-                        if uc == u:
-                            mu_pos = mu_keys.index(key) if key in mu_keys else None
-                            if mu_pos is None:
-                                raise VermaError("known component not in basis")
-                            _accumulate(kn_vec, (mu_pos, r), c * kval * vv)
-                for mu_pos in range(len(mu_keys)):
-                    for r_aux_pos, r_aux in enumerate(eq_cols):
-                        row = [ctx.zero] * nvars
-                        any_nonzero = False
-                        for k_pos in range(len(keys)):
-                            coeff = e_coords[k_pos][mu_pos]
-                            if not coeff.is_zero:
-                                for u_pos, u in enumerate(cols):
-                                    if u == r_aux:
-                                        row[k_pos * len(cols) + u_pos] = coeff
-                                        any_nonzero = True
-                        target = kn_vec.get((mu_pos, r_aux), ctx.zero)
-                        if any_nonzero or not target.is_zero:
-                            rows.append(row)
-                            rhs.append(-target)
-            if not rows:
-                rows = [[ctx.zero] * nvars]
-                rhs = [ctx.zero]
-            try:
-                x = solve_dense(ctx, rows, rhs)
-            except ZeroDivisionError as exc:
-                raise DegenerateWeightError(str(exc)) from exc
-            placed = []
-            for k_pos, key in enumerate(keys):
-                for u_pos, u in enumerate(cols):
-                    val = x[k_pos * len(cols) + u_pos]
-                    if not val.is_zero:
-                        solution[(key, u)] = val
-                    placed.append((key, u))
-                    if (key, u) not in solution:
-                        solution[(key, u)] = ctx.zero
-            solved_drops[tuple(nu)] = placed
-    return Intertwiner(slice_, aux, v_index, solution)
+                for m, row in (prev * e_t).rows.items():
+                    b_rows[nrows + m] = {u: -kval * v for u, v in row.items()}
+            nrows += len(slice_.weight_basis(mu))
+        try:
+            x = Mat(nrows, len(keys), ctx, a_rows).solve(Mat(nrows, len(cols), ctx, b_rows))
+        except ZeroDivisionError as exc:
+            raise DegenerateWeightError(str(exc)) from exc
+        solved[nu] = (at, x)
+        for k, key in enumerate(keys):
+            for u, aux_index in enumerate(cols):
+                image[(key, aux_index)] = x[k, u]
+    return Intertwiner(slice_, aux, v_index, image)
 
 
 def apply_coproduct_word(phi, letters):

@@ -14,7 +14,15 @@ from dybax.fusion import (
     universal_sl2_fusion,
 )
 from dybax.linalg import Mat, kron
-from dybax.reps import TensorIndex, ext_power, sym_power, tensor, trivial_rep, vector_rep
+from dybax.reps import (
+    TensorIndex,
+    ext_power,
+    permutation_matrix,
+    sym_power,
+    tensor,
+    trivial_rep,
+    vector_rep,
+)
 from dybax.rootdata import build_type_A
 from dybax.verma import verma_slice
 
@@ -246,3 +254,22 @@ def test_weight_zero_and_shift():
     for row in range(4):
         v0 = r.mat[row, col]
         assert shifted.mat[row, col] == v0.shift_lambda((0, 1))
+
+
+def test_flip21_is_conjugation_by_the_swap():
+    # flip21 places X at slots (1, 0); on factors of unequal dimension it
+    # must equal P X P^T with P = permutation_matrix: X (x) Y -> Y (x) X
+    datum = build_type_A(2, "gl")
+    v = vector_rep(datum)
+    s2 = sym_power(v, 2)
+    ctx = v.ctx
+    n = v.dim * s2.dim
+    x = Mat(n, n, ctx)
+    for r in range(n):
+        for c in range(n):
+            x.set(r, c, ctx.from_fraction(r * n + c + 1) * ctx.lam(r % 2))
+    flipped = DynOp([v, s2], x).flip21()
+    p = permutation_matrix(v.dim, s2.dim, ctx)
+    assert [m.dim for m in flipped.factors] == [s2.dim, v.dim]
+    assert flipped.mat == p * x * p.transpose()
+    assert flipped.flip21().mat == x
