@@ -313,7 +313,7 @@ def universal_sl2_fusion(depth, quantum=False):
         for k in range(1, n + 1):
             # q^{2 theta(u-2k) - 2 theta(u)} = t^{-2k} x^{2k} s^{-4k-4k^2}
             ratio = t ** (-2 * k) * x ** (2 * k) * s ** (-4 * k - 4 * k * k)
-            g_prev = gs[n - k].subs({"x": x * s ** (-4 * k)})
+            g_prev = gs[n - k].monomial_subs({"x": x * s ** (-4 * k)})
             rhs = rhs + d[k] * ratio * g_prev
         lhs_factor = t ** (-2 * n) * x ** (2 * n) * s ** (-4 * n - 4 * n * n) - 1
         gs.append(rhs / lhs_factor)

@@ -1,7 +1,8 @@
 """Exact coefficient arithmetic: multivariate rational functions in three flavors.
 
 Every quantity in the package is a ``Scalar``: an element of one of three
-exact fraction fields, all with arbitrary-precision rational coefficients.
+exact fraction fields of polynomials with arbitrary-precision integer
+coefficients (rational constants enter as integer fractions).
 
 * classical mode -- rational functions in the lambda-coordinates l1..ln;
 * quantum mode   -- rational functions in s and t1..tn, encoding
@@ -16,18 +17,25 @@ exact fraction fields, all with arbitrary-precision rational coefficients.
 Truncated power series in the step gamma live in ``GammaSeries``, a plain
 coefficient list over the symbol field.
 
-The backing representation is sympy's sparse polynomial fraction field,
-which keeps numerator/denominator cancelled and sign-normalized, so two
-Scalars are equal iff their representations are identical.
+The backing representation is sympy's sparse polynomial fraction field over
+ZZ: numerator and denominator are coprime in Z[gens], their integer contents
+are coprime and the denominator's leading coefficient is positive, so two
+Scalars are equal iff their representations are identical.  Field operations
+keep this form by a gcd; a lambda-shift does not need one.  It is a ring
+automorphism, which maps a reduced fraction to a reduced fraction, so it
+only rewrites exponents and fixes the sign (quantum) or Taylor-shifts and
+clears denominators (classical and symbol).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import field as _sym_field
+from sympy.polys.matrices import DomainMatrix
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -67,9 +75,11 @@ class Context:
         self.n = n
         self.extra = tuple(extra)
         self.var_names = tuple(names)
-        created = _sym_field(",".join(names), QQ)
+        created = _sym_field(",".join(names), ZZ)
         self.field = created[0]
         self._gens = {name: g for name, g in zip(names, created[1:])}
+        # the same polynomials over QQ, where the Taylor shifts run
+        self._qq_ring = self.field.ring.clone(domain=QQ)
         self.zero = Scalar(self, self.field.zero)
         self.one = Scalar(self, self.field.one)
 
@@ -246,6 +256,25 @@ class Scalar:
             raise ZeroDivisionError("substitution produced a zero denominator")
         return Scalar(self.ctx, num / den)
 
+    def monomial_subs(self, mapping):
+        """``subs`` for a mapping that sends generators (by name) to Laurent
+        monomials with coefficient 1 and is a ring automorphism: a
+        permutation of generators, or generators rescaled by monomials in
+        the others.  It rewrites exponents and takes no gcd; any other
+        mapping raises ScalarError."""
+        names = self.ctx.var_names
+        images = {}
+        for name, value in mapping.items():
+            num, den = self.ctx(value).fraction_terms()
+            if len(num) != 1 or len(den) != 1 or num[0][1] != 1 or den[0][1] != 1:
+                raise ScalarError(f"{name} -> {value} is not a monomial")
+            images[names.index(name)] = tuple(a - b for a, b in zip(num[0][0], den[0][0]))
+        rows = [[ZZ(x) for x in images.get(j, _unit_vector(len(names), j))]
+                for j in range(len(names))]
+        if abs(DomainMatrix(rows, (len(names), len(names)), ZZ).det()) != 1:
+            raise ScalarError("monomial substitution is not an automorphism")
+        return Scalar(self.ctx, _monomial_image(self.f, images))
+
     def diff_lambda(self, i, eps=None):
         """Exact partial derivative along lambda_{i+1}.
 
@@ -273,6 +302,9 @@ class Scalar:
         rational shifts on the polynomial part when all w-shift factors are
         trivial (mu paired into the exponentials must vanish), since
         exp(e*c) for generic rational c is not in the field.
+
+        The shift is a ring automorphism, so it maps the reduced fraction to
+        a reduced fraction and takes no gcd.
         """
         ctx = self.ctx
         mu = [Fraction(x) for x in mu]
@@ -280,25 +312,28 @@ class Scalar:
             raise UnsupportedShiftError("shift weight has wrong length")
         if all(x == 0 for x in mu):
             return self
-        if ctx.mode == CLASSICAL:
-            return self.subs({f"l{i + 1}": ctx.lam(i) - mu[i] for i in range(ctx.n)})
+        index = ctx.var_names.index
         if ctx.mode == QUANTUM:
-            mapping = {}
+            images = {}
             for i, m in enumerate(mu):
                 k2 = -2 * m
                 if k2.denominator != 1:
                     raise UnsupportedShiftError(
                         f"quantum shift by {m} is not half-integral")
                 if k2 != 0:
-                    mapping[f"t{i + 1}"] = ctx.t(i) * ctx.s ** int(k2)
-            return self.subs(mapping)
-        # symbol mode
-        for i, m in enumerate(mu):
-            if m != 0 and self.f.diff(ctx._gens[f"w{i + 1}"]):
-                raise UnsupportedShiftError(
-                    "symbol-mode shift would need exp(e*c) factors outside the field")
-        return self.subs({f"l{i + 1}": ctx.lam(i) - mu[i] for i in range(ctx.n)
-                          if mu[i] != 0})
+                    image = list(_unit_vector(len(ctx.var_names), index(f"t{i + 1}")))
+                    image[index("s")] = int(k2)
+                    images[index(f"t{i + 1}")] = image
+            return Scalar(ctx, _monomial_image(self.f, images))
+        if ctx.mode == SYMBOL:
+            for i, m in enumerate(mu):
+                w = index(f"w{i + 1}")
+                if m != 0 and any(monom[w] for side in (self.f.numer, self.f.denom)
+                                  for monom in side):
+                    raise UnsupportedShiftError(
+                        "symbol-mode shift would need exp(e*c) factors outside the field")
+        shifts = {index(f"l{i + 1}"): m for i, m in enumerate(mu) if m != 0}
+        return Scalar(ctx, _taylor_shift(ctx, self.f, shifts))
 
     def evaluate_at(self, point):
         """Exact rational value at a rational point {var name: value}."""
@@ -347,8 +382,64 @@ class Scalar:
 
 
 def _rational_terms(poly):
-    return [(monom, Fraction(int(c.numerator), int(c.denominator)))
-            for monom, c in poly.terms()]
+    return [(monom, Fraction(int(c))) for monom, c in poly.terms()]
+
+
+def _unit_vector(n, j):
+    return tuple(int(k == j) for k in range(n))
+
+
+def _monomial_image(f, images):
+    """f under the ring automorphism sending generator j to the Laurent
+    monomial with exponent vector images[j] (other generators are fixed).
+
+    Monomials and +-1 are the only units of the Laurent ring, and the
+    integer coefficients only move between monomials, so the images of the
+    coprime numerator and denominator are coprime up to their common
+    monomial factor.  That factor (negative exponents included) is divided
+    out and the denominator's leading coefficient made positive, as sympy's
+    cancel would: no gcd is taken."""
+    moved = list(images.items())
+    sides = []
+    for poly in (f.numer, f.denom):
+        side = {}
+        for monom, c in poly.items():
+            new = list(monom)
+            for j, image in moved:
+                e = monom[j]
+                if e:
+                    new[j] -= e
+                    for k, x in enumerate(image):
+                        new[k] += e * x
+            side[tuple(new)] = c
+        sides.append(side)
+    low = [min(exps) for exps in zip(*sides[0], *sides[1])]
+    num, den = ({tuple(a - b for a, b in zip(monom, low)): c for monom, c in side.items()}
+                for side in sides)
+    num, den = f.numer.new(num), f.denom.new(den)
+    if den.LC < 0:
+        num, den = -num, -den
+    return f.raw_new(num, den)
+
+
+def _taylor_shift(ctx, f, shifts):
+    """f with generator j replaced by x_j - shifts[j] (rationals).
+
+    The substitution is a ring automorphism of Q[gens], so the shifted
+    numerator and denominator stay coprime over Q: clearing denominators
+    and dividing out the integer content of both together reduces the
+    fraction over Z without a polynomial gcd.  Every new monomial divides
+    the old one it comes from, so the leading term in lex order and hence
+    the sign of the denominator are kept."""
+    qq = ctx._qq_ring
+    moves = [(qq.gens[j], qq.gens[j] - QQ(m.numerator, m.denominator))
+             for j, m in sorted(shifts.items())]
+    num, den = (poly.set_ring(qq).compose(moves) for poly in (f.numer, f.denom))
+    scale = lcm(*(int(c.denominator) for c in (*num.values(), *den.values())))
+    num, den = ({monom: int(c * scale) for monom, c in poly.items()} for poly in (num, den))
+    content = gcd(*num.values(), *den.values())
+    return f.raw_new(f.numer.new({m: c // content for m, c in num.items()}),
+                     f.denom.new({m: c // content for m, c in den.items()}))
 
 
 def _eval_poly(tgt, poly, vals):
@@ -546,29 +637,18 @@ def _poly_text_integer(ctx, terms):
 
 
 def _fraction_text(ctx, f):
-    from math import gcd
-
     num, den = f.numer, f.denom
     if not num:
         return "0"
     terms_n = sorted(num.terms(), key=lambda t: _monomial_key(t[0]))
     terms_d = sorted(den.terms(), key=lambda t: _monomial_key(t[0]))
-    # common integer scale: clear all coefficient denominators, then strip
-    # the shared integer content, keeping the exact value of num/den
-    lcm = 1
-    for _, c in terms_n + terms_d:
-        d = int(QQ(c).denominator)
-        lcm = lcm * d // gcd(lcm, d)
-    ints_n = [int(QQ(c).numerator) * (lcm // int(QQ(c).denominator)) for _, c in terms_n]
-    ints_d = [int(QQ(c).numerator) * (lcm // int(QQ(c).denominator)) for _, c in terms_d]
-    g = 0
-    for c in ints_n + ints_d:
-        g = gcd(g, c)
-    sign = 1 if ints_d[0] > 0 else -1
-    ints_n = [sign * c // g for c in ints_n]
-    ints_d = [sign * c // g for c in ints_d]
-    num_text = _poly_text_integer(ctx, [(m, c) for (m, _), c in zip(terms_n, ints_n)])
-    den_text = _poly_text_integer(ctx, [(m, c) for (m, _), c in zip(terms_d, ints_d)])
+    # strip the shared integer content; the denominator's first term in
+    # graded-lex order gets a positive coefficient
+    g = gcd(*(int(c) for _, c in terms_n + terms_d))
+    if terms_d[0][1] < 0:
+        g = -g
+    num_text = _poly_text_integer(ctx, [(m, int(c) // g) for m, c in terms_n])
+    den_text = _poly_text_integer(ctx, [(m, int(c) // g) for m, c in terms_d])
     if den_text == "1":
         return num_text
     return f"({num_text})/({den_text})"

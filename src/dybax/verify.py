@@ -247,7 +247,7 @@ def _permute_coordinates(ctx, c, sigma):
                 mapping[f"l{a + 1}"] = ctx.gen(f"l{b + 1}")
                 if ctx.mode == "symbol":
                     mapping[f"w{a + 1}"] = ctx.gen(f"w{b + 1}")
-    return c.subs(mapping) if mapping else c
+    return c.monomial_subs(mapping) if mapping else c
 
 
 def gauge_quantum(rop, kind, data):

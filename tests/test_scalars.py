@@ -7,11 +7,51 @@ from hypothesis import given, settings, strategies as st
 from dybax.scalars import (
     NotRegularError,
     PoleAtPointError,
+    ScalarError,
     UnsupportedShiftError,
     classical_ctx,
     quantum_ctx,
     symbol_ctx,
 )
+
+# rank-2 fields: (context, generators, generators with negative exponents)
+FIELDS = {
+    "classical": (classical_ctx(2), ("l1", "l2"), ()),
+    "quantum": (quantum_ctx(2), ("s", "t1", "t2"), ("s", "t1", "t2")),
+    "symbol": (symbol_ctx(2), ("e", "l1", "l2"), ("e",)),
+}
+half_integers = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
+weights = st.lists(half_integers, min_size=2, max_size=2)
+
+
+@st.composite
+def polynomials(draw, mode):
+    """Up to three terms with small rational coefficients."""
+    ctx, gens, laurent = FIELDS[mode]
+    out = ctx.zero
+    for _ in range(draw(st.integers(1, 3))):
+        term = ctx(Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from([1, 2, 3]))))
+        for g in gens:
+            term = term * ctx.gen(g) ** draw(st.integers(-2 if g in laurent else 0, 3))
+        out = out + term
+    return out
+
+
+@st.composite
+def fractions(draw, mode):
+    den = draw(polynomials(mode).filter(lambda p: not p.is_zero))
+    return draw(polynomials(mode)) / den
+
+
+def subs_shift(x, mu):
+    """lambda -> lambda - mu by generic substitution: the reference path."""
+    ctx = x.ctx
+    if ctx.mode == "quantum":
+        return x.subs({f"t{i + 1}": ctx.t(i) * ctx.s ** int(-2 * m) for i, m in enumerate(mu)})
+    return x.subs({f"l{i + 1}": ctx.lam(i) - m for i, m in enumerate(mu)})
+
+
+modes = pytest.mark.parametrize("mode", sorted(FIELDS))
 
 
 def test_canonical_reduction():
@@ -40,6 +80,10 @@ def test_shift_quantum_example():
     x = (1 / s ** 2 - s ** 2) / (s ** 4 * t ** 2 - 1)
     y = x.shift_lambda([-1])  # lambda -> lambda + 1
     assert y == (1 / s ** 2 - s ** 2) / (s ** 8 * t ** 2 - 1)
+    # t -> s^2 t makes -s^2 t the leading term: the sign moves to the top
+    assert (1 / (s - t)).shift_lambda([-1]) == 1 / (s - s ** 2 * t)
+    # t -> s^-2 t leaves a negative power of s, which moves to the top
+    assert (1 / (1 - t)).shift_lambda([1]) == s ** 2 / (s ** 2 - t)
     with pytest.raises(UnsupportedShiftError):
         x.shift_lambda([Fraction(1, 3)])
 
@@ -149,3 +193,64 @@ def test_diff_twisted():
     x = w1 ** 2 * l1
     assert x.diff_lambda(0) == w1 ** 2 - e * w1 ** 2 * l1
     assert x.diff_lambda(1).is_zero
+
+
+@modes
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shift_matches_substitution(mode, data):
+    x, mu = data.draw(st.tuples(fractions(mode), weights))
+    assert x.shift_lambda(mu).fraction_terms() == subs_shift(x, mu).fraction_terms()
+
+
+@modes
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_shift_round_trip(mode, data):
+    x, mu = data.draw(st.tuples(fractions(mode), weights))
+    back = x.shift_lambda(mu).shift_lambda([-m for m in mu])
+    assert back.fraction_terms() == x.fraction_terms()
+
+
+@modes
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_shift_commutes_with_field_operations(mode, data):
+    x, mu = data.draw(st.tuples(fractions(mode), weights))
+    y = data.draw(fractions(mode))
+    assert (x * y).shift_lambda(mu) == x.shift_lambda(mu) * y.shift_lambda(mu)
+    assert (x + y).shift_lambda(mu) == x.shift_lambda(mu) + y.shift_lambda(mu)
+
+
+@modes
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_monomial_subs_matches_substitution(mode, data):
+    ctx = FIELDS[mode][0]
+    x = data.draw(fractions(mode))
+    if mode == "quantum":
+        k = data.draw(st.integers(-6, 6))
+        mapping = data.draw(st.sampled_from([
+            {"t1": ctx.t(1), "t2": ctx.t(0)},      # a Weyl permutation
+            {"t2": ctx.t(1) * ctx.s ** k},         # a rescale by a power of s
+        ]))
+    else:
+        mapping = {"l1": ctx.lam(1), "l2": ctx.lam(0)}
+    assert x.monomial_subs(mapping).fraction_terms() == x.subs(mapping).fraction_terms()
+
+
+def test_monomial_subs_rejects_non_automorphisms():
+    ctx = quantum_ctx(2)
+    s, t1, t2 = ctx.s, ctx.t(0), ctx.t(1)
+    x = 1 / (t1 - s * t2)
+    for mapping in ({"t1": t1 + 1}, {"t1": 2 * t1}, {"t1": t1 ** 2}, {"t1": t2}):
+        with pytest.raises(ScalarError):
+            x.monomial_subs(mapping)
+
+
+def test_symbol_shift_rejects_exponential_factors():
+    ctx = symbol_ctx(2)
+    x = ctx.w(0) / (ctx.lam(0) - ctx.lam(1))
+    with pytest.raises(UnsupportedShiftError):
+        x.shift_lambda([1, 0])
+    assert x.shift_lambda([0, 1]) == ctx.w(0) / (ctx.lam(0) - ctx.lam(1) + 1)
