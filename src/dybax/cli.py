@@ -11,6 +11,7 @@ of `verify-suite` out to a process pool of at most one worker per core.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from fractions import Fraction
@@ -44,7 +45,7 @@ from .macdonald import (
 )
 from .reps import ext_power, sym_power, vector_rep
 from .rootdata import RootDatumError, build_type_A
-from .scalars import ScalarError
+from .scalars import ScalarError, context_stats
 from .verify import (
     PreconditionError,
     VerifyError,
@@ -364,6 +365,8 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="dybax",
         description="exact workbench for dynamical Yang-Baxter structures")
+    parser.add_argument("--stats", action="store_true",
+                        help="write the field-operation counts as one JSON line to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, flavor_default="gl"):
@@ -470,6 +473,9 @@ def main(argv=None):
             argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        if args.stats:
+            print(json.dumps({"scalars": context_stats()}), file=sys.stderr)
 
 
 if __name__ == "__main__":

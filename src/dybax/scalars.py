@@ -20,8 +20,18 @@ coefficient list over the symbol field.
 The backing representation is sympy's sparse polynomial fraction field over
 ZZ: numerator and denominator are coprime in Z[gens], their integer contents
 are coprime and the denominator's leading coefficient is positive, so two
-Scalars are equal iff their representations are identical.  Field operations
-keep this form by a gcd; a lambda-shift does not need one.  It is a ring
+Scalars are equal iff their representations are identical.
+
+Field operations keep this form without a polynomial gcd whenever both
+operands have a factored view of their denominator (``FactorBase``): a
+positive integer times a product of irreducible polynomials interned once
+per Context.  A product then trial-divides each numerator by the other
+denominator's factors, and a sum trial-divides the lifted sum by the factors
+of the common denominator; one integer gcd settles the contents.  The
+catalog's denominators are products of a few irreducibles such as t_a - t_b
+and s^k t_a - t_b, so nearly every operation takes this path.  An operand
+without a view goes through sympy's ``cancel``, which also serves the tests
+as the reference.  A lambda-shift needs no gcd either: it is a ring
 automorphism, which maps a reduced fraction to a reduced fraction, so it
 only rewrites exponents and fixes the sign (quantum) or Taylor-shifts and
 clears denominators (classical and symbol).
@@ -32,6 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from weakref import WeakSet
 
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import field as _sym_field
@@ -40,6 +51,9 @@ from sympy.polys.matrices import DomainMatrix
 CLASSICAL = "classical"
 QUANTUM = "quantum"
 SYMBOL = "symbol"
+
+_CONTEXTS = WeakSet()   # every Context, for ``context_stats``
+_UNSET = object()       # a Scalar whose denominator view is not built yet
 
 
 class ScalarError(Exception):
@@ -80,11 +94,23 @@ class Context:
         self._gens = {name: g for name, g in zip(names, created[1:])}
         # the same polynomials over QQ, where the Taylor shifts run
         self._qq_ring = self.field.ring.clone(domain=QQ)
+        self.factors = FactorBase(self.field.ring)
+        # operations served by the factored path and by sympy's gcd path
+        self.op_counts = {"mul": [0, 0], "add": [0, 0], "div": [0, 0]}
         self.zero = Scalar(self, self.field.zero)
         self.one = Scalar(self, self.field.one)
+        _CONTEXTS.add(self)
 
     def __repr__(self):
         return f"Context({self.mode}, n={self.n})"
+
+    def stats(self):
+        """Operation counts by path and the size of the factor base."""
+        out = {"context": f"{self.mode} n={self.n}" + "".join(f" {x}" for x in self.extra)}
+        for op, (factored, by_gcd) in self.op_counts.items():
+            out[op] = {"factored": factored, "gcd": by_gcd}
+        out["factors"] = len(self.factors.factors)
+        return out
 
     def gen(self, name):
         return Scalar(self, self._gens[name])
@@ -140,58 +166,313 @@ def aux_ctx(mode, n, extra):
     return Context(mode, n, extra=extra)
 
 
-def _to_frac_element(ctx, value):
+def context_stats():
+    """``Context.stats`` of every live Context, in a fixed order."""
+    return sorted((ctx.stats() for ctx in _CONTEXTS), key=lambda row: row["context"])
+
+
+class FactorBase:
+    """The irreducible denominator factors of one Context, and factored views.
+
+    A view of a polynomial D with positive leading coefficient is a pair
+    ``(c, ((i, e), ...))`` with D = c * prod factors[i]**e, c a positive
+    integer and the indices increasing.  Every interned factor is primitive,
+    irreducible in Z[gens] and has a positive leading coefficient, so the
+    view is D's factorisation and a polynomial is coprime to D iff no factor
+    of the view divides it and its content is coprime to c.
+
+    ``view`` never factors: it splits off the integer content and the
+    monomial part, trial-divides by the factors interned so far, and interns
+    what is left only if ``_certified_irreducible`` holds for it.  Both
+    outcomes are cached per polynomial, so a denominator without a view
+    costs its failed trial divisions once.
+    """
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.factors = []
+        self._records = []       # per factor: (degrees, lead, lead coeff, other terms)
+        self._index = {}         # factor -> its index
+        self._views = {}         # polynomial -> view, or None when it has none
+        self._expanded = {}      # view -> polynomial
+
+    def _intern(self, poly):
+        index = self._index.get(poly)
+        if index is None:
+            index = self._index[poly] = len(self.factors)
+            self.factors.append(poly)
+            lead = max(poly)
+            self._records.append((poly.degrees(), lead, poly[lead],
+                                  [(m, c) for m, c in poly.items() if m != lead]))
+        return index
+
+    def view(self, poly):
+        """The view of poly (positive leading coefficient), or None."""
+        try:
+            return self._views[poly]
+        except KeyError:
+            pass
+        view = self._views[poly] = self._build(poly)
+        if view is not None:
+            self._expanded.setdefault(view, poly)
+        return view
+
+    def expand(self, view):
+        """The polynomial of a view."""
+        poly = self._expanded.get(view)
+        if poly is None:
+            c, exps = view
+            poly = self.ring.ground_new(c)
+            for i, e in exps:
+                poly = poly * self.factors[i] ** e
+            self._expanded[view] = poly
+        return poly
+
+    def _build(self, poly):
+        c = gcd(*poly.values())
+        if c != 1:
+            poly = poly.quo_ground(c)
+        exps = {}
+        low = tuple(map(min, zip(*poly)))
+        if any(low):
+            for j, e in enumerate(low):
+                if e:
+                    exps[self._intern(self.ring.gens[j])] = e
+            poly = poly.new({tuple(a - b for a, b in zip(m, low)): k for m, k in poly.items()})
+        if not poly.is_ground:
+            # poly has no monomial factor left, so only the others can divide it
+            limits = {i: None for i, record in enumerate(self._records) if record[3]}
+            poly = self._divide_out(poly, limits, exps)
+        if not poly.is_ground:
+            if not _certified_irreducible(poly):
+                return None
+            exps[self._intern(poly)] = 1
+        return _view(c, exps)
+
+    def _divide_out(self, poly, limits, found=None):
+        """poly divided by factor i up to limits[i] times (None: no limit)
+        for each i; lowers ``limits`` by the exponents taken and adds them to
+        ``found``.  A factor of higher degree in some generator is skipped."""
+        degrees = None
+        for i, limit in limits.items():
+            if limit == 0:
+                continue
+            if degrees is None:
+                degrees = poly.degrees()
+            record = self._records[i]
+            taken = 0
+            while limit is None or taken < limit:
+                if any(map(int.__gt__, record[0], degrees)):
+                    break
+                quotient = _exact_quotient(poly, record)
+                if quotient is None:
+                    break
+                poly, taken = quotient, taken + 1
+                degrees = poly.degrees()
+            if taken:
+                if found is not None:
+                    found[i] = found.get(i, 0) + taken
+                if limit is not None:
+                    limits[i] = limit - taken
+            if poly.is_ground:
+                break
+        return poly
+
+    def product(self, na, va, nb, vb):
+        """Reduced (numerator, view) of (na / va) * (nb / vb), both reduced."""
+        ea, eb = dict(va[1]), dict(vb[1])
+        na = self._divide_out(na, eb)
+        nb = self._divide_out(nb, ea)
+        for i, e in eb.items():
+            ea[i] = ea.get(i, 0) + e
+        return _reduce_content(na * nb, va[0] * vb[0], ea)
+
+    def sum(self, na, va, nb, vb):
+        """Reduced (numerator, view) of na / va + nb / vb, both reduced."""
+        if va == vb:
+            c, exps = va[0], dict(va[1])
+            num = na + nb
+        else:
+            ea, eb = dict(va[1]), dict(vb[1])
+            exps = {i: max(ea.get(i, 0), eb.get(i, 0)) for i in ea.keys() | eb.keys()}
+            c = lcm(va[0], vb[0])
+            num = (self._lift(na, va[0], ea, c, exps) + self._lift(nb, vb[0], eb, c, exps))
+        if not num:
+            return num, None
+        num = self._divide_out(num, exps)
+        return _reduce_content(num, c, exps)
+
+    def _lift(self, num, c_from, exps_from, c, exps):
+        cofactor = _view(c // c_from, {i: e - exps_from.get(i, 0) for i, e in exps.items()})
+        return num if cofactor == (1, ()) else num * self.expand(cofactor)
+
+
+def _view(c, exps):
+    return c, tuple(sorted((i, e) for i, e in exps.items() if e))
+
+
+def _reduce_content(num, c, exps):
+    """(num, view of c * exps) after dividing out their common integer."""
+    g = gcd(c, *num.values())
+    if g != 1:
+        num, c = num.quo_ground(g), c // g
+    return num, _view(c, exps)
+
+
+def _exact_quotient(poly, record):
+    """poly / f for the factor f of the record if f divides poly in
+    Z[gens], else None.  The division runs on lex-leading terms and stops at
+    the first one that f's leading term does not divide."""
+    _, lead, lead_c, rest = record
+    if not rest:        # a generator: shift every exponent
+        quo = {tuple(a - b for a, b in zip(m, lead)): c for m, c in poly.items()}
+        return None if any(min(m) < 0 for m in quo) else poly.new(quo)
+    rem = dict(poly)
+    quo = {}
+    while rem:
+        m = max(rem)
+        c = rem.pop(m)
+        shift = tuple(a - b for a, b in zip(m, lead))
+        if min(shift) < 0 or c % lead_c:
+            return None
+        k = c // lead_c
+        quo[shift] = k
+        for fm, fc in rest:
+            t = tuple(a + b for a, b in zip(fm, shift))
+            v = rem.get(t, 0) - k * fc
+            if v:
+                rem[t] = v
+            else:
+                del rem[t]
+    return poly.new(quo)
+
+
+def _certified_irreducible(poly):
+    """True if poly is primitive, has no monomial factor and, for some
+    generator x, is A*x + B with A or B a single term (A, B free of x).
+
+    Then poly is irreducible in Z[gens]: in a factorisation one factor is
+    free of x, so it divides A and B; dividing a single term, it is a term
+    itself, and poly has no term factor but +-1 (Gauss's lemma)."""
+    if poly.is_ground or gcd(*poly.values()) != 1 or any(map(min, zip(*poly))):
+        return False
+    for column in zip(*poly):
+        if max(column) == 1:
+            ones = sum(column)
+            if ones == 1 or len(column) - ones == 1:
+                return True
+    return False
+
+
+def _to_scalar(ctx, value):
     if isinstance(value, Scalar):
         if value.ctx is not ctx:
             raise ScalarError(f"context mismatch: {value.ctx} vs {ctx}")
-        return value.f
-    value = Fraction(value)
-    return ctx.field(QQ(value.numerator, value.denominator))
+        return value
+    return ctx.from_fraction(value)
+
+
+def _from_view(ctx, num, view):
+    if view is None:
+        return ctx.zero
+    return Scalar(ctx, ctx.field.raw_new(num, ctx.factors.expand(view)), view)
+
+
+def _to_frac_element(ctx, value):
+    return _to_scalar(ctx, value).f
 
 
 class Scalar:
     """Element of a Context's fraction field. Immutable and canonical."""
 
-    __slots__ = ("ctx", "f")
+    __slots__ = ("ctx", "f", "_view")
 
-    def __init__(self, ctx, f):
+    def __init__(self, ctx, f, view=_UNSET):
         self.ctx = ctx
         self.f = f
+        self._view = view
+
+    def denominator_view(self):
+        """The FactorBase view of the denominator, or None if it has none."""
+        view = self._view
+        if view is _UNSET:
+            view = self._view = self.ctx.factors.view(self.f.denom)
+        return view
 
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return Scalar(self.ctx, self.f + _to_frac_element(self.ctx, other))
+        return self._sum(_to_scalar(self.ctx, other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return Scalar(self.ctx, self.f - _to_frac_element(self.ctx, other))
+        return self._sum(_to_scalar(self.ctx, other), -1)
 
     def __rsub__(self, other):
-        return Scalar(self.ctx, _to_frac_element(self.ctx, other) - self.f)
+        return _to_scalar(self.ctx, other)._sum(self, -1)
 
     def __mul__(self, other):
-        return Scalar(self.ctx, self.f * _to_frac_element(self.ctx, other))
+        return self._product(_to_scalar(self.ctx, other), "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        g = _to_frac_element(self.ctx, other)
-        if not g:
+        other = _to_scalar(self.ctx, other)
+        if not other.f:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(self.ctx, self.f / g)
+        return self._product(other._inverse(), "div")
 
     def __rtruediv__(self, other):
         if not self.f:
             raise ZeroDivisionError("division by zero Scalar")
-        return Scalar(self.ctx, _to_frac_element(self.ctx, other) / self.f)
+        return _to_scalar(self.ctx, other)._product(self._inverse(), "div")
+
+    def _product(self, other, op):
+        ctx = self.ctx
+        if not self.f or not other.f:
+            ctx.op_counts[op][0] += 1
+            return ctx.zero
+        va, vb = self.denominator_view(), other.denominator_view()
+        if va is None or vb is None:
+            ctx.op_counts[op][1] += 1
+            return Scalar(ctx, self.f * other.f)
+        ctx.op_counts[op][0] += 1
+        return _from_view(ctx, *ctx.factors.product(self.f.numer, va, other.f.numer, vb))
+
+    def _sum(self, other, sign):
+        ctx = self.ctx
+        g = other.f if sign > 0 else -other.f
+        if not g or not self.f:
+            ctx.op_counts["add"][0] += 1
+            return self if not g else Scalar(ctx, g, other._view)
+        va, vb = self.denominator_view(), other.denominator_view()
+        if va is None or vb is None:
+            ctx.op_counts["add"][1] += 1
+            return Scalar(ctx, self.f + g)
+        ctx.op_counts["add"][0] += 1
+        return _from_view(ctx, *ctx.factors.sum(self.f.numer, va, g.numer, vb))
+
+    def _inverse(self):
+        """1 / self (self nonzero), with the view of its denominator if
+        self's numerator has one."""
+        num, den = self.f.numer, self.f.denom
+        if num.LC < 0:
+            num, den = -num, -den
+        return Scalar(self.ctx, self.f.raw_new(den, num), self.ctx.factors.view(num))
 
     def __pow__(self, k):
-        return Scalar(self.ctx, self.f ** k)
+        if k < 0:
+            if not self.f:
+                raise ZeroDivisionError("negative power of zero Scalar")
+            return self._inverse() ** -k
+        view = self._view
+        if view is not _UNSET and view is not None:
+            view = _view(view[0] ** k, {i: e * k for i, e in view[1]})
+        return Scalar(self.ctx, self.f ** k, view)
 
     def __neg__(self):
-        return Scalar(self.ctx, -self.f)
+        return Scalar(self.ctx, -self.f, self._view)
 
     def __eq__(self, other):
         if isinstance(other, Scalar):

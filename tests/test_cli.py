@@ -48,6 +48,18 @@ def test_verify_qdybe_pass_and_fail_codes(capsys):
     assert code == 0
 
 
+def test_stats_go_to_stderr_only(capsys):
+    line = ["verify", "qdybe", "--catalog", "R-eps-X", "--n", "3", "--X", "1,2"]
+    code, out = run_cli(capsys, line)
+    assert main(["--stats"] + line) == code == 0
+    captured = capsys.readouterr()
+    assert captured.out == out
+    stats = json.loads(captured.err.strip().splitlines()[-1])["scalars"]
+    row = next(r for r in stats if r["context"] == "quantum n=3")
+    assert row["mul"]["factored"] > 0 and row["factors"] > 0
+    assert set(row) == {"context", "mul", "add", "div", "factors"}
+
+
 def test_verify_hecke_rep(capsys):
     code, out = run_cli(capsys, ["verify", "hecke-rep", "--catalog", "R-eps-X",
                                  "--n", "2", "--X", "1,2", "--p", "3"])

@@ -1,0 +1,220 @@
+"""The factored Scalar arithmetic against sympy's cancel.
+
+`Scalar` multiplies, adds and divides without a polynomial gcd when both
+operands have a factored denominator view.  Here every operation is wrapped
+so that its result is compared with sympy's own `FracElement` operation on
+the same operands, over package jobs of every layer that computes with
+Scalars, and over random fractions built from interned factors.
+"""
+
+import operator
+from fractions import Fraction
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from dybax import catalog, fusion, macdonald, reps, rootdata, verify
+from dybax.scalars import (
+    Scalar,
+    _UNSET,
+    _certified_irreducible,
+    _to_frac_element,
+    classical_ctx,
+    context_stats,
+    quantum_ctx,
+    symbol_ctx,
+)
+
+# Scalar method -> the same operation on sympy FracElements (self first)
+ORACLE = {
+    "__add__": operator.add,
+    "__radd__": lambda a, b: b + a,
+    "__sub__": operator.sub,
+    "__rsub__": lambda a, b: b - a,
+    "__mul__": operator.mul,
+    "__rmul__": lambda a, b: b * a,
+    "__truediv__": operator.truediv,
+    "__rtruediv__": lambda a, b: b / a,
+}
+
+
+@pytest.fixture
+def oracle(monkeypatch):
+    """Checks every Scalar +, -, *, / against sympy; yields the number of
+    results checked."""
+    checked = {"ops": 0}
+    for name, reference in ORACLE.items():
+        fast = Scalar.__dict__[name]
+
+        def wrapped(self, other, fast=fast, reference=reference, name=name):
+            out = fast(self, other)
+            want = reference(self.f, _to_frac_element(self.ctx, other))
+            assert (out.f.numer, out.f.denom) == (want.numer, want.denom), (name, self, other)
+            if out._view is not _UNSET and out._view is not None:
+                assert out.ctx.factors.expand(out._view) == out.f.denom
+            checked["ops"] += 1
+            return out
+        monkeypatch.setattr(Scalar, name, wrapped)
+    return checked
+
+
+def factored_ops():
+    return sum(row[op]["factored"] for row in context_stats() for op in ("mul", "add", "div"))
+
+
+def check(oracle, job):
+    before = factored_ops()
+    job()
+    assert oracle["ops"] > 0
+    assert factored_ops() > before
+
+
+def test_qdybe_at_rank_four(oracle):
+    check(oracle, lambda: verify.qdybe_residual(catalog.quantum_R_X(4, [1, 2, 3, 4])))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_classical_cdybe_families(oracle, n):
+    datum = rootdata.build_type_A(n, "gl")
+    families = [catalog.basic_rational_r(datum), catalog.basic_trig_r(datum),
+                catalog.classical_r_trig_X(datum, [0]),
+                catalog.classical_r_zero_coupling(datum, [tuple(datum.positive_roots[0])])]
+    for r in families:
+        check(oracle, lambda r=r: verify.cdybe_residual(r))
+
+
+def test_quantum_gauge(oracle):
+    rq = catalog.quantum_R_eps_X(3, [1, 2])
+    check(oracle, lambda: verify.qdybe_residual(
+        verify.gauge_quantum(rq, 2, [1, Fraction(1, 2), 0])))
+
+
+def test_quantum_gl3_fusion(oracle):
+    v = reps.vector_rep(rootdata.build_type_A(3, "gl"), True)
+    check(oracle, lambda: fusion.fusion_exchange_construction(v, v))
+
+
+def test_criterion_11_macdonald_polynomials(oracle):
+    for n, mu in ((2, (1, 0)), (2, (2, 0)), (2, (2, 1)), (3, (1, 1, 1)),
+                  (3, (2, 1, 0)), (3, (3, 0, 0))):
+        for m in (0, 1):
+            check(oracle, lambda: macdonald.macdonald_polynomial(n, mu, m))
+
+
+# -- random fractions over interned factors ------------------------------------
+
+def _factors(ctx, texts):
+    g = {name: ctx.gen(name) for name in ctx.var_names}
+    return [eval(text, {}, g) for text in texts]  # noqa: S307 - fixed strings
+
+
+# per mode: generators and irreducible factors, linear and binomial
+FIELDS = {
+    "classical": (classical_ctx(2), ("l1", "l2"),
+                  ("l1 - l2", "l1 + 1", "2*l1 - l2 + 3", "l1*l2 - 1", "l2")),
+    "quantum": (quantum_ctx(2), ("s", "t1", "t2"),
+                ("t1 - t2", "s**2*t1 - t2", "s**4*t2 - t1", "t1*t2 - s**2", "s - 1",
+                 "s + 1", "t1")),
+    "symbol": (symbol_ctx(2), ("e", "w1", "l1"),
+               ("w1 - w2", "e*w1 - w2", "l1 - l2 + e", "e*l1 + 2", "w1")),
+}
+modes = pytest.mark.parametrize("mode", sorted(FIELDS))
+
+
+@st.composite
+def factored_fractions(draw, mode):
+    """c * P * prod F^a / prod F^b, P a small random polynomial."""
+    ctx, gens, texts = FIELDS[mode]
+    factors = _factors(ctx, texts)
+    out = ctx(Fraction(draw(st.integers(-6, 6).filter(bool)),
+                       draw(st.sampled_from([1, 2, 4, 9]))))
+    poly = ctx.zero
+    for _ in range(draw(st.integers(1, 3))):
+        term = ctx(draw(st.integers(-4, 4)))
+        for g in gens:
+            term = term * ctx.gen(g) ** draw(st.integers(0, 2))
+        poly = poly + term
+    out = out * poly
+    for f in factors:
+        out = out * f ** draw(st.integers(-2, 2))
+    return out
+
+
+def same(x, want):
+    """Scalar x has exactly the representation of the FracElement want."""
+    return (x.f.numer, x.f.denom) == (want.numer, want.denom)
+
+
+@modes
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_field_operations_match_sympy(mode, data):
+    ctx = FIELDS[mode][0]
+    a, b = data.draw(factored_fractions(mode)), data.draw(factored_fractions(mode))
+    k = data.draw(st.integers(-3, 3))
+    a, b = Scalar(ctx, a.f), Scalar(ctx, b.f)    # views built afresh, not inherited
+    # every denominator is a product of factors the strategy interned
+    assert a.denominator_view() is not None and b.denominator_view() is not None
+    kf = ctx(k).f
+    assert same(a * b, a.f * b.f)
+    assert same(a + b, a.f + b.f)
+    assert same(a - b, a.f - b.f)
+    assert same((a + b) - b, a.f)       # the sum must cancel b's factors
+    assert same(k - a, kf - a.f)
+    assert same(k * a, kf * a.f)
+    if b:
+        assert same(a / b, a.f / b.f)
+    if a and k:
+        assert same(k / a, kf / a.f)
+    if a:
+        assert same(a ** -2, ctx.one.f / (a.f * a.f))
+
+
+@st.composite
+def degree_one_polynomials(draw, mode):
+    """A*x + B with A or B one term, A and B free of the generator x."""
+    ctx, gens, _ = FIELDS[mode]
+    x = draw(st.sampled_from(gens))
+    rest = [g for g in ctx.var_names if g != x]
+
+    def part(single):
+        out = ctx.zero
+        for _ in range(1 if single else draw(st.integers(1, 3))):
+            term = ctx(draw(st.integers(-4, 4).filter(bool)))
+            for g in rest:
+                term = term * ctx.gen(g) ** draw(st.integers(0, 2))
+            out = out + term
+        return out
+    single_a = draw(st.booleans())
+    a, b = part(single_a), part(not single_a)
+    assume(a and b)
+    return (a * ctx.gen(x) + b).f.numer
+
+
+@modes
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_certified_polynomials_are_irreducible(mode, data):
+    poly = data.draw(degree_one_polynomials(mode))
+    primitive = poly.content() == 1 and not any(map(min, zip(*poly))) and not poly.is_ground
+    assert _certified_irreducible(poly) == primitive
+    if primitive:
+        coeff, factors = poly.factor_list()
+        assert abs(coeff) == 1 and len(factors) == 1
+        assert factors[0][1] == 1 and factors[0][0] in (poly, -poly)
+
+
+def test_products_of_factors_are_not_certified():
+    ctx = quantum_ctx(2)
+    s, t1, t2 = ctx.s, ctx.t(0), ctx.t(1)
+    assert not _certified_irreducible((t1 ** 2 - t2 ** 2).f.numer)
+    assert not _certified_irreducible((s ** 4 - 1).f.numer)
+    assert (1 / (s ** 4 - 1)).denominator_view() is None
+    assert (1 / (t1 - t2)).denominator_view() is not None
+
+
+def test_negative_powers_are_canonical():
+    ctx = quantum_ctx(1)
+    t = ctx.t(0)
+    assert (1 - t) ** -1 == 1 / (1 - t)
+    assert ((1 - t) ** -3).f.denom.LC > 0

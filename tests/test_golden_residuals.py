@@ -4,11 +4,9 @@ Every job of `menu("residuals")` runs in menu order with one shared `state`,
 as a benchmark pass runs it: its verdict, its witness and the sha256 of
 `serialize.dumps` of its artifact must equal the golden entry.  So the
 QDYBE, Hecke, CDYBE, unitarity and gauge artifacts and the negative controls
-are guarded on every test run, not only by benchmark runs.
-
-Skipped: the jobs whose ids start with `qdybe/R-X/n4/`, `qdybe/R-eps-X/n4/`
-and `qdybe/R-eps-X/n5/` (QDYBE at n = 4 and 5), which take about twice as
-long as all other jobs together; the benchmark runs them on every pass.
+are guarded on every test run, not only by benchmark runs.  All 217 jobs
+run, QDYBE at n = 4 and 5 included: those exercise the factored Scalar
+arithmetic hardest.
 """
 
 import hashlib
@@ -20,7 +18,6 @@ from pathlib import Path
 from dybax import serialize
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-SKIPPED = ("qdybe/R-X/n4/", "qdybe/R-eps-X/n4/", "qdybe/R-eps-X/n5/")
 
 
 def _workloads():
@@ -36,7 +33,6 @@ def test_residuals_menu_matches_golden():
     golden = json.loads((PERFBENCH / "golden.json").read_text())["residuals"]
     jobs = _workloads().menu("residuals")
     assert sorted(job.id for job in jobs) == sorted(golden)
-    jobs = [job for job in jobs if not job.id.startswith(SKIPPED)]
     assert any(job.id.startswith("negative/") for job in jobs)
     state, differ = {}, []
     for job in jobs:
