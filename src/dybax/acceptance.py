@@ -41,7 +41,7 @@ from .macdonald import (
 )
 from .reps import ext_power, sym_power, tensor, vector_rep
 from .rootdata import build_type_A
-from .scalars import quantum_ctx
+from .scalars import quantum_ctx, symbol_ctx
 from .verify import (
     cdybe_residual,
     cocycle_residual,
@@ -251,7 +251,6 @@ def criterion_8():
 
 def criterion_9():
     """Classical limits: gamma series and the classical ABRR limit."""
-    from .scalars import symbol_ctx
     ok = True
     for flavor, n in (("sl", 2), ("gl", 2)):
         datum = build_type_A(n, flavor)

@@ -262,7 +262,6 @@ def cmd_limit(args):
     payload = serialize.gamma_series_json(mats, name=f"{args.name} gamma-series")
     status = EXIT_OK
     if args.check_eq4:
-        from .catalog import basic_trig_r
         datum = build_type_A(args.n, "gl")
         v = vector_rep(datum)
         r_eps = basic_trig_r(datum).evaluate(v, v)

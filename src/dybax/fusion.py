@@ -30,7 +30,7 @@ from functools import lru_cache
 from .linalg import Mat, kron
 from .reps import TensorIndex, constant_R, place_operator
 from .rootdata import weight_add, weight_neg, weight_sub
-from .scalars import CLASSICAL, QUANTUM, aux_ctx
+from .scalars import CLASSICAL, QUANTUM, aux_ctx, symbol_ctx
 from .verma import solve_intertwiner, verma_slice
 
 
@@ -431,14 +431,13 @@ def singular_inverse_element(datum, depth, quantum=False):
 
 def classical_limit(dynop, order):
     """Entrywise gamma-expansion: a list of symbol-field matrices by order."""
-    from .scalars import symbol_ctx
     datum = dynop.factors[0].datum
     tgt = symbol_ctx(datum.n_coords)
     mats = [Mat(dynop.mat.nrows, dynop.mat.ncols, tgt) for _ in range(order + 1)]
     for (r, c, v) in dynop.mat.entries():
         series = v.gamma_expand(order)
         for k in range(order + 1):
-            val = series.coeff(k)
+            val = series[k]
             if not val.is_zero:
                 mats[k].set(r, c, val)
     return mats

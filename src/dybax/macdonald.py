@@ -27,7 +27,7 @@ from .fusion import (
 from .linalg import Mat
 from .reps import TensorIndex, dual, sym_power, trivial_rep, vector_rep
 from .rootdata import build_type_A
-from .scalars import quantum_ctx, series_quotient
+from .scalars import laurent_quotient, quantum_ctx
 from .verma import apply_coproduct_word, solve_intertwiner, verma_slice
 
 
@@ -304,15 +304,22 @@ def _monomial_expansion(x):
     return out
 
 
+def _padded_partition(n, mu):
+    """mu padded with zeros to n parts; MacdonaldError unless mu is a
+    partition with at most n parts."""
+    mu = tuple(mu)
+    if list(mu) != sorted(mu, reverse=True) or any(k < 0 for k in mu):
+        raise MacdonaldError("mu must be a partition")
+    if len(mu) > n:
+        raise MacdonaldError(f"mu must have at most {n} parts")
+    return mu + (0,) * (n - len(mu))
+
+
 def macdonald_polynomial(n, mu, m):
     """The monic Macdonald polynomial P_mu(q, t=q^(m+1)) as a monomial-basis
     coefficient dict {partition: Scalar}, computed by the triangular
     eigenvalue solve against M_1 and verified against every M_r."""
-    mu = tuple(mu)
-    if list(mu) != sorted(mu, reverse=True) or any(k < 0 for k in mu):
-        raise MacdonaldError("mu must be a partition")
-    if len(mu) != n:
-        mu = tuple(list(mu) + [0] * (n - len(mu)))
+    mu = _padded_partition(n, mu)
     ctx = quantum_ctx(n)
     d = sum(mu)
     space = [nu for nu in partitions_of(d, n) if dominates(mu, nu)]
@@ -352,7 +359,7 @@ def macdonald_polynomial(n, mu, m):
 def schur_polynomial(n, mu):
     """Bialternant Schur polynomial in x_i = t_i^2 (monomial coefficients)."""
     ctx = quantum_ctx(n)
-    mu = tuple(mu) + (0,) * (n - len(mu))
+    mu = _padded_partition(n, mu)
 
     def det(rows_exp):
         out = ctx.zero
@@ -430,24 +437,11 @@ def zeta_expand(x, order):
     ctx = x.ctx
     if ctx.n != 1:
         raise MacdonaldError("zeta expansion is an sl2 (rank-1) computation")
-
-    def reversed_poly(terms):
-        deg = max(mon[1] for mon, _ in terms)
-        out = {}
-        for mon, coeff in terms:
-            key = deg - mon[1]
-            out[key] = out.get(key, ctx.zero) + ctx.from_fraction(coeff) * ctx.s ** mon[0]
-        return deg, out
-
-    if x.is_zero:
-        return 0, [ctx.zero] * (order + 1)
-    (dn, num), (dd, den) = (reversed_poly(terms) for terms in x.fraction_terms())
-    vn = min(k for k, v in num.items() if not v.is_zero)
-    vd = min(k for k, v in den.items() if not v.is_zero)
-    val = (dd - dn) + (vn - vd)
-    a = [num.get(vn + k, ctx.zero) for k in range(order + 1)]
-    b = [den.get(vd + k, ctx.zero) for k in range(order + 1)]
-    return val, series_quotient(a, b, order + 1)
+    num, den = {}, {}
+    for side, terms in zip((num, den), x.fraction_terms()):
+        for (a, k), coeff in terms:
+            side[-k] = side.get(-k, ctx.zero) + ctx.s ** a * coeff
+    return laurent_quotient(num, den, order + 1)
 
 
 class TraceSeries:

@@ -22,7 +22,7 @@ from itertools import product
 from math import comb
 
 from .linalg import Mat, kernel_basis, kron
-from .rootdata import weight_add, weight_neg
+from .rootdata import weight_add, weight_neg, weight_sub
 
 
 class ModuleError(Exception):
@@ -141,7 +141,6 @@ class WeightModule:
         a = coords.index(Fraction(1))
         b = coords.index(Fraction(-1))
         mid = a + 1
-        from .rootdata import weight_sub
         alpha1 = weight_sub(datum._eps(a), datum._eps(mid))
         alpha2 = weight_sub(datum._eps(mid), datum._eps(b))
         m1 = self.root_action(alpha1, negative)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from math import prod
 
-from .scalars import classical_ctx, quantum_ctx
+from .scalars import UnsupportedShiftError, classical_ctx, quantum_ctx
 
 
 class RootDatumError(Exception):
@@ -218,12 +218,6 @@ class RootDatum:
     def quantum_field(self):
         return quantum_ctx(self.n_coords)
 
-    def theta_scalar(self, ctx, mu):
-        """Scalar by which theta(lambda) = lambda + rho - (1/2) sum x_i^2 acts
-        on a weight-mu vector: (lambda + rho, mu) - (mu, mu)/2."""
-        out = ctx.from_fraction(self.pairing(self.rho, mu) - self.pairing(mu, mu) / 2)
-        return out + self.lambda_pairing(ctx, mu)
-
     def lambda_pairing(self, ctx, mu):
         """(lambda, mu) as a classical Scalar in ctx."""
         if self.sl2_model:
@@ -241,13 +235,11 @@ class RootDatum:
         if self.sl2_model:
             k = factor * Fraction(mu[0]) / 2  # (lambda, mu) = l * mu / 2
             if k.denominator != 1:
-                from .scalars import UnsupportedShiftError
                 raise UnsupportedShiftError("q-power not Laurent in t")
             return ctx.t(0) ** int(k)
         for a, m in enumerate(mu):
             k = factor * Fraction(m)
             if k.denominator != 1:
-                from .scalars import UnsupportedShiftError
                 raise UnsupportedShiftError("q-power not Laurent in t")
             if k:
                 out = out * ctx.t(a) ** int(k)

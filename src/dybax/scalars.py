@@ -14,8 +14,9 @@ coefficients (rational constants enter as integer fractions).
   and the trigonometric solution families, whose "cotanh" entries are the
   rational functions (e/2)(u+1)/(u-1) in the monomials u = (w_a/w_b)^(-2).
 
-Truncated power series in the step gamma live in ``GammaSeries``, a plain
-coefficient list over the symbol field.
+Every series expansion of a fraction, the gamma-series of
+``Scalar.gamma_expand`` and the zeta-series of the trace functions, is one
+``laurent_quotient`` of two Laurent polynomials with Scalar coefficients.
 
 The backing representation is sympy's sparse polynomial fraction field over
 ZZ: numerator and denominator are coprime in Z[gens], their integer contents
@@ -66,10 +67,6 @@ class UnsupportedShiftError(ScalarError):
 
 class NotRegularError(ScalarError):
     """The gamma-series of this value has a pole at gamma = 0."""
-
-
-class PoleAtPointError(ScalarError):
-    """Denominator vanishes at the evaluation point (non-generic lambda)."""
 
 
 class Context:
@@ -135,7 +132,9 @@ class Context:
 
     def from_fraction(self, value):
         value = Fraction(value)
-        return Scalar(self, self.field(QQ(value.numerator, value.denominator)))
+        ring = self.field.ring
+        return Scalar(self, self.field.raw_new(ring.ground_new(value.numerator),
+                                               ring.ground_new(value.denominator)))
 
     def __call__(self, value):
         if isinstance(value, Scalar):
@@ -364,22 +363,10 @@ def _certified_irreducible(poly):
     return False
 
 
-def _to_scalar(ctx, value):
-    if isinstance(value, Scalar):
-        if value.ctx is not ctx:
-            raise ScalarError(f"context mismatch: {value.ctx} vs {ctx}")
-        return value
-    return ctx.from_fraction(value)
-
-
 def _from_view(ctx, num, view):
     if view is None:
         return ctx.zero
     return Scalar(ctx, ctx.field.raw_new(num, ctx.factors.expand(view)), view)
-
-
-def _to_frac_element(ctx, value):
-    return _to_scalar(ctx, value).f
 
 
 class Scalar:
@@ -402,23 +389,23 @@ class Scalar:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        return self._sum(_to_scalar(self.ctx, other), 1)
+        return self._sum(self.ctx(other), 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._sum(_to_scalar(self.ctx, other), -1)
+        return self._sum(self.ctx(other), -1)
 
     def __rsub__(self, other):
-        return _to_scalar(self.ctx, other)._sum(self, -1)
+        return self.ctx(other)._sum(self, -1)
 
     def __mul__(self, other):
-        return self._product(_to_scalar(self.ctx, other), "mul")
+        return self._product(self.ctx(other), "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _to_scalar(self.ctx, other)
+        other = self.ctx(other)
         if not other.f:
             raise ZeroDivisionError("division by zero Scalar")
         return self._product(other._inverse(), "div")
@@ -426,7 +413,7 @@ class Scalar:
     def __rtruediv__(self, other):
         if not self.f:
             raise ZeroDivisionError("division by zero Scalar")
-        return _to_scalar(self.ctx, other)._product(self._inverse(), "div")
+        return self.ctx(other)._product(self._inverse(), "div")
 
     def _product(self, other, op):
         ctx = self.ctx
@@ -478,7 +465,7 @@ class Scalar:
         if isinstance(other, Scalar):
             return self.ctx is other.ctx and self.f == other.f
         if isinstance(other, (int, Fraction)):
-            return self.f == _to_frac_element(self.ctx, other)
+            return self.f == self.ctx(other).f
         return NotImplemented
 
     def __hash__(self):
@@ -511,31 +498,20 @@ class Scalar:
     def convert(self, tgt, mapping):
         """Map into another context: every generator must be sent to a target
         Scalar (omitted names map to the same-named target generator)."""
-        vals = []
-        for name in self.ctx.var_names:
-            if name in mapping:
-                vals.append(_to_frac_element(tgt, tgt(mapping[name])))
-            else:
-                vals.append(_to_frac_element(tgt, tgt.gen(name)))
-        num = _eval_poly(tgt, self.f.numer, vals)
-        den = _eval_poly(tgt, self.f.denom, vals)
-        if not den:
-            raise ZeroDivisionError("conversion produced a zero denominator")
-        return Scalar(tgt, num / den)
+        return self._substitute(tgt, mapping, "conversion")
 
     def subs(self, mapping):
         """Substitute generators (by name) with Scalars of the same context."""
-        vals = []
-        for name in self.ctx.var_names:
-            if name in mapping:
-                vals.append(_to_frac_element(self.ctx, mapping[name]))
-            else:
-                vals.append(self.ctx._gens[name])
-        num = _eval_poly(self.ctx, self.f.numer, vals)
-        den = _eval_poly(self.ctx, self.f.denom, vals)
+        return self._substitute(self.ctx, mapping, "substitution")
+
+    def _substitute(self, tgt, mapping, what):
+        vals = [tgt(mapping[name]).f if name in mapping else tgt._gens[name]
+                for name in self.ctx.var_names]
+        num = _eval_poly(tgt, self.f.numer, vals)
+        den = _eval_poly(tgt, self.f.denom, vals)
         if not den:
-            raise ZeroDivisionError("substitution produced a zero denominator")
-        return Scalar(self.ctx, num / den)
+            raise ZeroDivisionError(f"{what} produced a zero denominator")
+        return Scalar(tgt, num / den)
 
     def monomial_subs(self, mapping):
         """``subs`` for a mapping that sends generators (by name) to Laurent
@@ -571,7 +547,7 @@ class Scalar:
         out = self.f.diff(ctx._gens[f"l{i + 1}"])
         if ctx.mode == SYMBOL:
             wi = ctx._gens[f"w{i + 1}"]
-            eps_el = ctx._gens["e"] if eps is None else _to_frac_element(ctx, eps)
+            eps_el = ctx._gens["e"] if eps is None else ctx(eps).f
             out = out + self.f.diff(wi) * wi * eps_el * QQ(-1, 2)
         return Scalar(ctx, out)
 
@@ -616,24 +592,10 @@ class Scalar:
         shifts = {index(f"l{i + 1}"): m for i, m in enumerate(mu) if m != 0}
         return Scalar(ctx, _taylor_shift(ctx, self.f, shifts))
 
-    def evaluate_at(self, point):
-        """Exact rational value at a rational point {var name: value}."""
-        ctx = self.ctx
-        vals = []
-        for name in ctx.var_names:
-            if name not in point:
-                raise ScalarError(f"no value given for {name}")
-            v = Fraction(point[name])
-            vals.append(ctx.field(QQ(v.numerator, v.denominator)))
-        num = _eval_poly(ctx, self.f.numer, vals)
-        den = _eval_poly(ctx, self.f.denom, vals)
-        if not den:
-            raise PoleAtPointError(f"denominator vanishes at {point}")
-        return Scalar(ctx, num / den).to_fraction()
-
     def gamma_expand(self, order):
-        """Expand at lambda -> lambda/gamma (and q = exp(-e*gamma/2)) to the
-        given order in gamma; returns a GammaSeries over the symbol field.
+        """Expand at lambda -> lambda/gamma (and q = exp(-e*gamma/2)) through
+        gamma^order: the list of its order + 1 coefficients, Scalars of the
+        symbol field.  NotRegularError if the expansion has a pole at 0.
         """
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -642,16 +604,25 @@ class Scalar:
             raise ScalarError("gamma_expand is not defined for auxiliary contexts")
         tgt = symbol_ctx(ctx.n)
         if ctx.mode == CLASSICAL:
-            dn, num = _classical_gamma_poly(ctx, tgt, self.f.numer)
-            dd, den = _classical_gamma_poly(ctx, tgt, self.f.denom)
-            net_shift = dd - dn
+            sides = [_classical_gamma_side(tgt, poly) for poly in (self.f.numer, self.f.denom)]
         elif ctx.mode == QUANTUM:
-            num = _quantum_gamma_poly(ctx, tgt, self.f.numer, order)
-            den = _quantum_gamma_poly(ctx, tgt, self.f.denom, order)
-            net_shift = 0
+            # The quantum sides are truncated at gamma^order, which is exact:
+            # numerator and denominator are coprime, so they do not both
+            # vanish at gamma = 0 (s = 1), or s - 1 would divide both.  A
+            # numerator of positive valuation thus has a denominator of
+            # valuation 0, and the coefficients through gamma^order read
+            # both sides only through gamma^order; a denominator of positive
+            # valuation is a pole.
+            sides = [_quantum_gamma_side(tgt, poly, order)
+                     for poly in (self.f.numer, self.f.denom)]
         else:
             raise ScalarError("gamma_expand expects a classical or quantum Scalar")
-        return _series_divide(tgt, num, den, order, net_shift)
+        val, _ = laurent_quotient(*sides, 0)
+        if val < 0:
+            raise NotRegularError("pole at gamma = 0")
+        # gamma^val times the coefficients of gamma^0 .. gamma^(order - val)
+        _, coeffs = laurent_quotient(*sides, max(order + 1 - val, 0))
+        return ([tgt.zero] * val + coeffs)[:order + 1]
 
     # -- canonical text -----------------------------------------------------
 
@@ -737,84 +708,62 @@ def _eval_poly(tgt, poly, vals):
     return out
 
 
-def _classical_gamma_poly(src, tgt, poly):
-    """gamma-polynomial coefficients of gamma^deg * P(lambda/gamma).
-
-    Returns (deg, c[0..deg]) with gamma^deg P(lambda/gamma) = sum c[j] gamma^j;
-    c[j] is the homogeneous part of P of total degree deg - j.
-    """
-    if not poly:
-        return 0, [tgt.field.zero]
-    deg = max(sum(m) for m in poly.monoms())
-    coeffs = [tgt.field.zero] * (deg + 1)
-    lam = [tgt._gens[f"l{i + 1}"] for i in range(src.n)]
-    for monom, coeff in poly.terms():
-        term = tgt.field(coeff)
-        for g, e in zip(lam, monom):
-            if e:
-                term = term * g ** e
-        coeffs[deg - sum(monom)] += term
-    return deg, coeffs
-
-
-def _exp_series(tgt, rate, order):
-    """Series of exp(rate * e * gamma) to the given order; rate rational."""
-    rate = Fraction(rate)
-    e = tgt._gens["e"]
-    out = [tgt.field.one]
-    term = tgt.field.one
-    for k in range(1, order + 1):
-        term = term * e * QQ(rate.numerator, rate.denominator) / QQ(k)
-        out.append(term)
+def _graded_values(tgt, poly, grade, vals):
+    """{grade(m): sum of c * prod vals[j]**m[j]} over the terms c * x^m of
+    poly, for Scalars vals of tgt (None sets a generator to 1)."""
+    out = {}
+    for monom, c in poly.terms():
+        term = tgt(int(c))
+        for v, e in zip(vals, monom):
+            if e and v is not None:
+                term = term * v ** e
+        k = grade(monom)
+        out[k] = out.get(k, tgt.zero) + term
     return out
 
 
-def _quantum_gamma_poly(src, tgt, poly, order):
-    """gamma-series (to given order) of P after s -> exp(-e g/4), t_i -> w_i."""
-    out = [tgt.field.zero] * (order + 1)
-    w = [tgt._gens[f"w{i + 1}"] for i in range(src.n)]
-    for monom, coeff in poly.terms():
-        s_exp = monom[0]
-        mono = tgt.field(coeff)
-        for g, e in zip(w, monom[1:]):
-            if e:
-                mono = mono * g ** e
-        exp_part = _exp_series(tgt, Fraction(-s_exp, 4), order)
-        for j in range(order + 1):
-            out[j] += mono * exp_part[j]
-    return out
+def _classical_gamma_side(tgt, poly):
+    """P(lambda/gamma) as a Laurent polynomial in gamma: a term c * l^m has
+    the exponent -|m|."""
+    return _graded_values(tgt, poly, lambda m: -sum(m), [tgt.lam(i) for i in range(tgt.n)])
 
 
-def _series_divide(tgt, num, den, order, net_shift):
-    """gamma^net_shift * (sum num[j] g^j) / (sum den[j] g^j) as a GammaSeries."""
+def _quantum_gamma_side(tgt, poly, order):
+    """P(s -> exp(-e*gamma/4), t_i -> w_i) through gamma^order: a term
+    c * s^a * t^m becomes c * w^m * exp(-a*e*gamma/4)."""
+    by_s = _graded_values(tgt, poly, lambda m: m[0], [None] + [tgt.w(i) for i in range(tgt.n)])
+    side = {}
+    scale = tgt.one
+    for j in range(order + 1):
+        side[j] = scale * sum((p * Fraction(-a, 4) ** j for a, p in by_s.items()), tgt.zero)
+        scale = scale * tgt.eps / (j + 1)
+    return side
 
-    def valuation(c):
-        for j, x in enumerate(c):
-            if x:
-                return j
-        return None
 
-    vn, vd = valuation(num), valuation(den)
-    if vd is None:
+def laurent_quotient(num, den, n):
+    """The Laurent expansion of num / den in one variable x, for Laurent
+    polynomials {exponent: Scalar} with den nonzero: (v, c) with
+    num / den = x^v (c[0] + c[1] x + ... + c[n-1] x^(n-1) + O(x^n)).
+    A zero num gives v = 0 and n zeros."""
+    num = {k: c for k, c in num.items() if c}
+    den = {k: c for k, c in den.items() if c}
+    if not den:
         raise ZeroDivisionError("zero denominator series")
-    if vn is None:
-        return GammaSeries(tgt, order, [tgt.field.zero] * (order + 1))
-    shift = net_shift + vn - vd
-    if shift < 0:
-        raise NotRegularError("pole at gamma = 0")
-    a = num[vn:vn + order + 1]
-    b = den[vd:vd + order + 1]
-    a += [tgt.field.zero] * (order + 1 - len(a))
-    b += [tgt.field.zero] * (order + 1 - len(b))
-    coeffs = [tgt.field.zero] * shift + series_quotient(a, b, order + 1 - shift)
-    return GammaSeries(tgt, order, coeffs[:order + 1])
+    vd = min(den)
+    zero = den[vd].ctx.zero
+    if not num:
+        return 0, [zero] * n
+    vn = min(num)
+    a = [num.get(vn + k, zero) for k in range(n)]
+    b = [den.get(vd + k, zero) for k in range(n)]
+    return vn - vd, series_quotient(a, b, n)
 
 
 def series_quotient(a, b, n):
     """The first n coefficients of the power series a / b.
 
-    a and b are coefficient lists of length at least n over any field (sympy
-    field elements or Scalars), and b[0] must be nonzero."""
+    a and b are lists of at least n Scalars of one context, and b[0] must
+    be nonzero."""
     q = []
     for k in range(n):
         acc = a[k]
@@ -822,67 +771,6 @@ def series_quotient(a, b, n):
             acc = acc - q[j] * b[k - j]
         q.append(acc / b[0])
     return q
-
-
-class GammaSeries:
-    """Truncated power series in gamma over the symbol field."""
-
-    __slots__ = ("ctx", "order", "_c")
-
-    def __init__(self, ctx, order, coeffs):
-        if len(coeffs) != order + 1:
-            raise ValueError("coefficient list does not match order")
-        self.ctx = ctx
-        self.order = order
-        self._c = list(coeffs)
-
-    def coeff(self, k):
-        if not 0 <= k <= self.order:
-            raise IndexError(f"order {k} beyond truncation {self.order}")
-        return Scalar(self.ctx, self._c[k])
-
-    def __eq__(self, other):
-        return (isinstance(other, GammaSeries) and self.ctx is other.ctx
-                and self.order == other.order and self._c == other._c)
-
-    def __add__(self, other):
-        self._check(other)
-        return GammaSeries(self.ctx, self.order,
-                           [a + b for a, b in zip(self._c, other._c)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return GammaSeries(self.ctx, self.order,
-                           [a - b for a, b in zip(self._c, other._c)])
-
-    def __mul__(self, other):
-        if isinstance(other, GammaSeries):
-            self._check(other)
-            out = [self.ctx.field.zero] * (self.order + 1)
-            for i, a in enumerate(self._c):
-                if not a:
-                    continue
-                for j in range(self.order + 1 - i):
-                    b = other._c[j]
-                    if b:
-                        out[i + j] += a * b
-            return GammaSeries(self.ctx, self.order, out)
-        g = _to_frac_element(self.ctx, other)
-        return GammaSeries(self.ctx, self.order, [c * g for c in self._c])
-
-    __rmul__ = __mul__
-
-    @property
-    def is_zero(self):
-        return all(not c for c in self._c)
-
-    def _check(self, other):
-        if self.ctx is not other.ctx or self.order != other.order:
-            raise ScalarError("gamma-series context/order mismatch")
-
-    def __repr__(self):
-        parts = [f"({c})*g^{k}" for k, c in enumerate(self._c) if c]
-        return " + ".join(parts) if parts else "0"
 
 
 # -- canonical text -------------------------------------------------------

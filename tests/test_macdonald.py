@@ -7,6 +7,7 @@ from dybax.fusion import exchange_matrix
 from dybax.linalg import Mat
 from dybax.macdonald import (
     DiffOp,
+    MacdonaldError,
     corollary91_check,
     macdonald_eigenvalue,
     macdonald_operator,
@@ -50,8 +51,7 @@ def test_macdonald_operator_coefficients():
     # |I| = n: empty product
     mn = macdonald_operator(3, 3, 2)
     assert len(mn.terms) == 1
-    assert mn.scalar_coefficient((1, 1, 1)) == ctx.one if False else \
-        mn.scalar_coefficient((1, 1, 1)) == mn.ctx.one
+    assert mn.scalar_coefficient((1, 1, 1)) == mn.ctx.one
 
 
 def test_macdonald_commutativity():
@@ -101,6 +101,14 @@ def test_schur_specialization():
         s = schur_polynomial(n, mu)
         assert set(p) == set(s)
         assert all((p[k] - s[k]).is_zero for k in p)
+
+
+@pytest.mark.parametrize("build", [schur_polynomial,
+                                   lambda n, mu: macdonald_polynomial(n, mu, 0)])
+@pytest.mark.parametrize("mu", [(1, 1, 1), (0, 1), (2, -1), (1, 0, 0)])
+def test_mu_must_be_a_partition_with_at_most_n_parts(build, mu):
+    with pytest.raises(MacdonaldError):
+        build(2, mu)
 
 
 def test_eigenvalue_formula():

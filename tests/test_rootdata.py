@@ -73,25 +73,6 @@ def test_casimir_invariance_on_tensor_square():
             assert (g * omega - omega * g).is_zero
 
 
-def test_theta_scalar():
-    d = build_type_A(2, "sl")
-    ctx = d.classical_field()
-    # mu = 0 gives 0
-    assert d.theta_scalar(ctx, (0,)).is_zero
-    # linearity: theta(mu) at lambda+nu minus at lambda equals (nu, mu)
-    mu = (2,)
-    nu = (4,)
-    th = d.theta_scalar(ctx, mu)
-    assert th.shift_lambda([-4]) - th == ctx.from_fraction(d.pairing(nu, mu))
-    # the sl2 ABRR denominator at depth 1: for the weight raised to m+2, the
-    # divisor theta(m) - theta(m+2) = -(lambda - m + ... ) reproduces
-    # lambda - h + 2 evaluated at h = m + 2
-    m = -1
-    num = d.theta_scalar(ctx, (m,)) - d.theta_scalar(ctx, (m + 2,))
-    lam = ctx.lam(0)
-    assert num == -(lam - (m + 2) + 2)
-
-
 def test_form_matches_coordinate_dot():
     d = build_type_A(3, "gl")
     for a in d.positive_roots:
