@@ -6,8 +6,8 @@ either the rational lambda-field or the exponential symbol field (where
 "cotanh" is the rational function (eps/2)(u+1)/(u-1) in the monomial
 u_alpha = exp(eps (alpha, lambda))).
 
-Quantum families (the R_X and R^eps_X matrices and the gl_n closed forms)
-are produced directly as DynOp matrices on the vector representation.
+Quantum families (R_X, R^eps_X, the gl_n closed forms) are Hecke-type
+DynOp matrices on the vector representation, built by `reps.hecke_matrix`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 from .fusion import DynOp
 from .linalg import Mat, kernel_basis, kron, rank_of, rref
-from .reps import TensorIndex, vector_rep
+from .reps import hecke_matrix, vector_rep
 from .rootdata import (
     add_tensor,
     build_type_A,
@@ -97,37 +97,56 @@ def _module_matrix(module, x, ctx):
     return out
 
 
-def casimir_terms(datum):
-    return [(a, b, Fraction(c)) for (a, b, c) in datum.casimir()]
+def wedge(x, y, c):
+    """The terms of c * (x (x) y - y (x) x)."""
+    return [(x, y, c), (y, x, -c)]
 
 
-def u_alpha(ctx, datum, alpha):
-    """The monomial exp(eps*(alpha, lambda)) in the w-symbols."""
+def _root_wedge(datum, alpha, c):
+    """The terms of c * (e_alpha (x) e_-alpha - e_-alpha (x) e_alpha)."""
+    return wedge(datum.root_vector(alpha), datum.root_vector(alpha, negative=True), c)
+
+
+def _dot(a, b):
+    """The invariant form on rational vectors in epsilon coordinates."""
+    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
+
+
+def _exp_monomial(ctx, kappas, error):
+    """prod_a w_a^(-2 kappa_a) in the w-symbols of ctx; raises `error`
+    unless every exponent is an integer."""
     out = ctx.one
-    if datum.sl2_model:
-        kappas = [Fraction(alpha[0]) / 2]
-    else:
-        kappas = [Fraction(x) for x in alpha]
     for a, kappa in enumerate(kappas):
         k2 = -2 * kappa
         if k2.denominator != 1:
-            raise CatalogError("non-integral exponential monomial")
+            raise error
         if k2:
             out = out * ctx.w(a) ** int(k2)
     return out
 
 
-def basic_rational_r(datum):
-    """r(lambda) = sum_{alpha>0} (e_a (x) e_-a - e_-a (x) e_a)/(lambda, alpha)."""
+def u_alpha(ctx, datum, alpha):
+    """The monomial exp(eps*(alpha, lambda)) in the w-symbols."""
+    if datum.sl2_model:
+        kappas = [Fraction(alpha[0]) / 2]
+    else:
+        kappas = [Fraction(x) for x in alpha]
+    return _exp_monomial(ctx, kappas, CatalogError("non-integral exponential monomial"))
+
+
+def _rational_r(datum, roots, name):
+    """The zero-coupling r-matrix sum_alpha (e_a wedge e_-a)/(lambda, alpha)
+    over the given positive roots, in their order."""
     ctx = datum.classical_field()
     terms = []
-    for alpha in datum.positive_roots:
-        c = 1 / datum.lambda_pairing(ctx, alpha)
-        e_p = datum.root_vector(alpha)
-        e_m = datum.root_vector(alpha, negative=True)
-        terms.append((e_p, e_m, c))
-        terms.append((e_m, e_p, -c))
-    return ClassicalRMatrix(datum, ctx, terms, 0, name="basic-rational")
+    for alpha in roots:
+        terms += _root_wedge(datum, alpha, 1 / datum.lambda_pairing(ctx, alpha))
+    return ClassicalRMatrix(datum, ctx, terms, 0, name=name)
+
+
+def basic_rational_r(datum):
+    """r(lambda) = sum_{alpha>0} (e_a (x) e_-a - e_-a (x) e_a)/(lambda, alpha)."""
+    return _rational_r(datum, datum.positive_roots, "basic-rational")
 
 
 def basic_trig_r(datum, eps=None):
@@ -156,15 +175,7 @@ def classical_r_zero_coupling(datum, roots):
                     if root in positive and root not in chosen_set:
                         raise InvalidSubalgebraError(
                             "root set is not closed under addition")
-    ctx = datum.classical_field()
-    terms = []
-    for alpha in chosen:
-        c = 1 / datum.lambda_pairing(ctx, alpha)
-        e_p = datum.root_vector(alpha)
-        e_m = datum.root_vector(alpha, negative=True)
-        terms.append((e_p, e_m, c))
-        terms.append((e_m, e_p, -c))
-    return ClassicalRMatrix(datum, ctx, terms, 0, name="r-l")
+    return _rational_r(datum, chosen, "r-l")
 
 
 def _support(datum, alpha):
@@ -177,11 +188,9 @@ def classical_r_trig_X(datum, x_indices, eps=None, name="r-eps-X"):
     ctx = symbol_ctx(datum.n_coords)
     eps_s = ctx.eps if eps is None else ctx(eps)
     w_eps = None if eps is None else Fraction(eps)
-    terms = [(a, b, eps_s * Fraction(c) / 2) for (a, b, c) in casimir_terms(datum)]
+    terms = [(a, b, eps_s * c / 2) for (a, b, c) in datum.casimir()]
     half = eps_s / 2
     for alpha in datum.positive_roots:
-        e_p = datum.root_vector(alpha)
-        e_m = datum.root_vector(alpha, negative=True)
         if set(_support(datum, alpha)) <= set(x_indices):
             # phi_alpha = (eps/2) cotanh((eps/2)(lambda,alpha)); u carries
             # the same eps the w-symbols do
@@ -189,8 +198,7 @@ def classical_r_trig_X(datum, x_indices, eps=None, name="r-eps-X"):
             phi = half * (u + 1) / (u - 1)
         else:
             phi = half
-        terms.append((e_p, e_m, phi))
-        terms.append((e_m, e_p, -phi))
+        terms += _root_wedge(datum, alpha, phi)
     return ClassicalRMatrix(datum, ctx, terms, eps_s, w_eps=w_eps, name=name)
 
 
@@ -203,6 +211,11 @@ class BDTriple:
         self.gamma2 = list(gamma2)
         self.tau = dict(tau)
         self.l_basis = [tuple(Fraction(x) for x in v) for v in l_basis]
+        for v in self.l_basis:
+            if len(v) != datum.n_coords:
+                raise InvalidTripleError(
+                    f"l-basis vector ({','.join(map(str, v))}) has {len(v)} entries, "
+                    f"not {datum.n_coords}")
         if sorted(self.tau) != sorted(self.gamma1) or \
                 sorted(self.tau.values()) != sorted(self.gamma2):
             raise InvalidTripleError("tau must be a bijection Gamma1 -> Gamma2")
@@ -222,7 +235,7 @@ class BDTriple:
             diff = weight_sub(datum.simple_roots[self.tau[i]],
                               datum.simple_roots[i])
             for x in self.l_basis:
-                if sum(Fraction(a) * Fraction(b) for a, b in zip(diff, x)) != 0:
+                if _dot(diff, x) != 0:
                     raise InvalidTripleError(
                         "tau(alpha) - alpha is not orthogonal to l")
         # cycle sums must lie in l (span check over Q)
@@ -311,8 +324,7 @@ def _inverse_gram(vectors):
     d = len(vectors)
     rows = []
     for i, a in enumerate(vectors):
-        row = {j: g for j, b in enumerate(vectors)
-               if (g := sum(Fraction(x) * Fraction(y) for x, y in zip(a, b)))}
+        row = {j: g for j, b in enumerate(vectors) if (g := _dot(a, b))}
         row[d + i] = Fraction(1)
         rows.append(row)
     pivots, _ = rref(rows, d)
@@ -342,37 +354,23 @@ def appendixA_r(triple):
     except ZeroDivisionError:
         raise InvalidTripleError("the form restricted to l is degenerate") from None
     ctx = symbol_ctx(dim_l)
-
-    def u_alpha_l(alpha):
-        out = ctx.one
-        for j, b in enumerate(l_basis):
-            k = sum(Fraction(x) * Fraction(y) for x, y in zip(alpha, b))
-            k2 = -2 * k
-            if k2.denominator != 1:
-                raise InvalidTripleError("non-integral exponential monomial on l")
-            if k2:
-                out = out * ctx.w(j) ** int(k2)
-        return out
-
     cartan_pairs = []
     for j in range(dim_l):
         coords = [sum(ginv[j][i] * Fraction(l_basis[i][a]) for i in range(dim_l))
                   for a in range(datum.n_coords)]
         cartan_pairs.append((_diag_matrix(coords), j))
-    terms = [(a, b, Fraction(c) / 2) for (a, b, c) in casimir_terms(datum)]
+    terms = [(a, b, c / 2) for (a, b, c) in datum.casimir()]
     # + 1/2 sum e_alpha wedge f_alpha
     for alpha in datum.positive_roots:
-        e_p = datum.root_vector(alpha)
-        e_m = datum.root_vector(alpha, negative=True)
-        terms.append((e_p, e_m, Fraction(1, 2)))
-        terms.append((e_m, e_p, Fraction(-1, 2)))
+        terms += _root_wedge(datum, alpha, Fraction(1, 2))
     # + sum_{alpha > 0, e_alpha in g_Gamma1} K(lambda) e_alpha wedge f_alpha
     for alpha in datum.positive_roots:
         support = _support(datum, alpha)
         if not support or any(i not in triple.tau for i in support):
             continue
         e_m = datum.root_vector(alpha, negative=True)
-        u = u_alpha_l(alpha)
+        u = _exp_monomial(ctx, [_dot(alpha, b) for b in l_basis],
+                          InvalidTripleError("non-integral exponential monomial on l"))
         # walk tau^n(e_alpha), accumulating the scalar by which tau acts on
         # root vectors; a return to alpha closes a cycle of length n
         contributions = []
@@ -400,12 +398,9 @@ def appendixA_r(triple):
             continue
         geo = ctx.one if cycle_len is None else 1 / (1 - u ** -cycle_len)
         for (k, img_vec, sc) in contributions:
-            c = (u ** -k) * geo * sc
-            terms.append((img_vec, e_m, c))
-            terms.append((e_m, img_vec, -c))
+            terms += wedge(img_vec, e_m, (u ** -k) * geo * sc)
     # + r_0 from the linear equation on Lambda^2 h_0
-    r0_terms = _solve_r0(triple, ctx)
-    terms.extend(r0_terms)
+    terms += _solve_r0(triple, ctx)
     return ClassicalRMatrix(datum, ctx, terms, 1, w_eps=Fraction(1), name="appA",
                             cartan_pairs=cartan_pairs)
 
@@ -423,15 +418,14 @@ def _solve_r0(triple, ctx):
     for isimp in triple.gamma1:
         alpha = datum.simple_roots[isimp]
         talpha = datum.simple_roots[triple.tau[isimp]]
-        beta = weight_sub(talpha, alpha)   # we need (alpha - tau alpha): sign below
         amta = weight_sub(alpha, talpha)
         apta = weight_add(alpha, talpha)
         # ((alpha - tau alpha) (x) 1) r0 = 1/2 ((tau alpha + alpha) (x) 1) Omega_h0
         # rhs vector: 1/2 proj_{h0} of t_(alpha+tau alpha)
-        pair_a = [sum(Fraction(x) * Fraction(y) for x, y in zip(apta, b)) for b in h0]
+        pair_a = [_dot(apta, b) for b in h0]
         rhs_vec = [Fraction(1, 2) * sum(ginv[k][i] * pair_a[k] for k in range(d))
                    for i in range(d)]
-        pair_m = [sum(Fraction(x) * Fraction(y) for x, y in zip(amta, b)) for b in h0]
+        pair_m = [_dot(amta, b) for b in h0]
         for comp in range(d):
             row = {}
             for k, (i, j) in enumerate(unknowns):
@@ -455,10 +449,7 @@ def _solve_r0(triple, ctx):
         c = sol.get(k)
         if not c:
             continue
-        hi = _diag_matrix(h0[i])
-        hj = _diag_matrix(h0[j])
-        out.append((hi, hj, Fraction(c)))
-        out.append((hj, hi, Fraction(-c)))
+        out += wedge(_diag_matrix(h0[i]), _diag_matrix(h0[j]), Fraction(c))
     return out
 
 
@@ -469,15 +460,13 @@ def _diag_matrix(coords):
 # -- quantum families --------------------------------------------------------
 
 
-def _intervals(x_set):
-    xs = sorted(set(x_set))
-    runs = []
-    for v in xs:
-        if runs and runs[-1][-1] == v - 1:
-            runs[-1].append(v)
-        else:
-            runs.append([v])
-    return runs
+def _runs(x_set):
+    """Each 0-based index of the 1-based set x_set, mapped to the first
+    member of its run of consecutive indices."""
+    run_of = {}
+    for k in sorted(set(x_set)):
+        run_of[k - 1] = run_of.get(k - 2, k)
+    return run_of
 
 
 def quantum_R_X(n, x_set):
@@ -485,21 +474,15 @@ def quantum_R_X(n, x_set):
     datum = build_type_A(n, "gl")
     v = vector_rep(datum)
     ctx = v.ctx
-    idx = TensorIndex([n, n])
-    out = Mat(n * n, n * n, ctx)
-    for a in range(n):
-        for b in range(n):
-            out.set(idx.flat((a, b)), idx.flat((a, b)), ctx.one)
-    for run in _intervals(x_set):
-        zero_based = [k - 1 for k in run]
-        for a in zero_based:
-            for b in zero_based:
-                if a == b:
-                    continue
-                c = 1 / (ctx.lam(a) - ctx.lam(b))
-                out.add_to(idx.flat((a, b)), idx.flat((a, b)), c)
-                out.add_to(idx.flat((b, a)), idx.flat((a, b)), c)
-    return DynOp([v, v], out)
+    run_of = _runs(x_set)
+
+    def beta(a, b):
+        if a in run_of and run_of[a] == run_of.get(b):
+            return 1 / (ctx.lam(a) - ctx.lam(b))
+        return ctx.zero
+
+    return DynOp([v, v], hecke_matrix(n, ctx, ctx.one,
+                                      lambda a, b: ctx.one + beta(a, b), beta))
 
 
 def quantum_R_eps_X(n, x_set):
@@ -508,95 +491,64 @@ def quantum_R_eps_X(n, x_set):
     v = vector_rep(datum, quantum=True)
     ctx = v.ctx
     q = ctx.s ** 2
-    idx = TensorIndex([n, n])
-    runs = [[k - 1 for k in run] for run in _intervals(x_set)]
-    run_of = {}
-    for rn, run in enumerate(runs):
-        for a in run:
-            run_of[a] = rn
+    run_of = _runs(x_set)
 
+    # beta_ab multiplies v_a (x) v_b -> v_b (x) v_a: the reading consistent
+    # with the q = 1 family (beta_ab -> 1/(l_a - l_b)) and the only one
+    # satisfying the QDYBE; the displayed E_ab (x) E_ba order is transposed
     def beta(a, b):
-        if a in run_of and b in run_of and run_of[a] == run_of[b]:
+        if a in run_of and run_of[a] == run_of.get(b):
             return (q - 1) / (ctx.t(a) / ctx.t(b) - 1)
         if a > b:
             return 1 - q
         return ctx.zero
 
-    out = Mat(n * n, n * n, ctx)
-    for a in range(n):
-        out.set(idx.flat((a, a)), idx.flat((a, a)), ctx.one)
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            bab = beta(a, b)
-            out.set(idx.flat((a, b)), idx.flat((a, b)), q + bab)
-            if not bab.is_zero:
-                # beta_ab multiplies v_a (x) v_b -> v_b (x) v_a: the reading
-                # consistent with the q = 1 family (beta_ab -> 1/(l_a - l_b))
-                # and the only one satisfying the QDYBE; the displayed
-                # E_ab (x) E_ba order is transposed
-                out.set(idx.flat((b, a)), idx.flat((a, b)), bab)
-    return DynOp([v, v], out)
+    return DynOp([v, v], hecke_matrix(n, ctx, ctx.one,
+                                      lambda a, b: q + beta(a, b), beta))
 
 
 def glN_closed_forms(n, quantum=False):
-    """Theorem 6.3: the closed-form fusion and exchange matrices on C^n."""
+    """Theorem 6.3: the closed-form fusion and exchange matrices on C^n.
+
+    Both are of Hecke type with one off-diagonal coefficient c(a, b): J
+    sends v_a (x) v_b to c(a, b) v_b (x) v_a for a < b, and R sends it to
+    c(b, a) v_b (x) v_a; `lower(a, b)` is R's entry at v_a (x) v_b, a > b."""
     datum = build_type_A(n, "gl")
     v = vector_rep(datum, quantum)
     ctx = v.ctx
-    idx = TensorIndex([n, n])
-    jm = Mat.identity(n * n, ctx)
-    rm = Mat(n * n, n * n, ctx)
     # Two spots below deviate from the displayed Theorem: the classical a > b
     # diagonal sign and the quantum off-diagonal factor order are fixed to the
     # construction-consistent reading (the displayed signs contradict the
     # worked 2x2 example and the q=1 involutivity R R^21 = 1).
     if not quantum:
-        for a in range(n):
-            for b in range(n):
-                if a < b:
-                    c = 1 / (ctx.lam(b) - ctx.lam(a) + (a + 1) - (b + 1))
-                    jm.set(idx.flat((b, a)), idx.flat((a, b)), c)
-        for a in range(n):
-            rm.set(idx.flat((a, a)), idx.flat((a, a)), ctx.one)
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                rm.set(idx.flat((b, a)), idx.flat((a, b)),
-                       1 / (ctx.lam(a) - ctx.lam(b) + (b + 1) - (a + 1)))
-                if a < b:
-                    rm.set(idx.flat((a, b)), idx.flat((a, b)), ctx.one)
-                else:
-                    x = ctx.lam(b) - ctx.lam(a) + (a + 1) - (b + 1)
-                    rm.set(idx.flat((a, b)), idx.flat((a, b)),
-                           (x - 1) * (x + 1) / x ** 2)
+        diag = ctx.one
+
+        def x(a, b):
+            return ctx.lam(b) - ctx.lam(a) + (a + 1) - (b + 1)
+
+        def c(a, b):
+            return 1 / x(a, b)
+
+        def lower(a, b):
+            y = x(a, b)
+            return (y - 1) * (y + 1) / y ** 2
     else:
         s = ctx.s
-        q = s ** 2
+        q = diag = s ** 2
 
         def qpow2(a, b):
             # q^(2(lambda_a - lambda_b + (b+1) - (a+1)))
             return (ctx.t(a) / ctx.t(b)) ** 2 * s ** (4 * (b - a))
 
-        for a in range(n):
-            for b in range(n):
-                if a < b:
-                    jm.set(idx.flat((b, a)), idx.flat((a, b)),
-                           (1 / q - q) / (qpow2(a, b) - 1))
-        for a in range(n):
-            rm.set(idx.flat((a, a)), idx.flat((a, a)), q)
-        for a in range(n):
-            for b in range(n):
-                if a == b:
-                    continue
-                rm.set(idx.flat((a, b)), idx.flat((b, a)),
-                       (1 / q - q) / (qpow2(a, b) - 1))
-                if a < b:
-                    rm.set(idx.flat((a, b)), idx.flat((a, b)), ctx.one)
-                else:
-                    y = qpow2(b, a)
-                    rm.set(idx.flat((a, b)), idx.flat((a, b)),
-                           (y - q ** -2) * (y - q ** 2) / (y - 1) ** 2)
+        def c(a, b):
+            return (1 / q - q) / (qpow2(a, b) - 1)
+
+        def lower(a, b):
+            y = qpow2(b, a)
+            return (y - q ** -2) * (y - q ** 2) / (y - 1) ** 2
+
+    jm = hecke_matrix(n, ctx, ctx.one, lambda a, b: ctx.one,
+                      lambda a, b: c(a, b) if a < b else ctx.zero)
+    rm = hecke_matrix(n, ctx, diag, lambda a, b: ctx.one if a < b else lower(a, b),
+                      lambda a, b: c(b, a))
     return DynOp([v, v], jm), DynOp([v, v], rm)

@@ -373,6 +373,15 @@ def build_parser():
         p.add_argument("--flavor", choices=("gl", "sl"), default=flavor_default)
         p.add_argument("--output", "-o", default=None)
 
+    def catalog_options(p):
+        p.add_argument("--X", default="")
+        p.add_argument("--roots", default="")
+        p.add_argument("--gamma1", default="")
+        p.add_argument("--gamma2", default="")
+        p.add_argument("--l-basis", dest="l_basis", default="")
+        p.add_argument("--quantum", action="store_true")
+        p.add_argument("--part", choices=("J", "R"), default="R")
+
     p = sub.add_parser("datum", help="dump a type-A root datum")
     common(p)
     p.set_defaults(func=cmd_datum)
@@ -386,13 +395,7 @@ def build_parser():
     p = sub.add_parser("catalog", help="construct a solution family")
     p.add_argument("name", choices=CLASSICAL_NAMES + QUANTUM_NAMES)
     common(p)
-    p.add_argument("--X", default="")
-    p.add_argument("--roots", default="")
-    p.add_argument("--gamma1", default="")
-    p.add_argument("--gamma2", default="")
-    p.add_argument("--l-basis", dest="l_basis", default="")
-    p.add_argument("--quantum", action="store_true")
-    p.add_argument("--part", choices=("J", "R"), default="R")
+    catalog_options(p)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("fusion", help="fusion/exchange matrices by either pipeline")
@@ -407,13 +410,7 @@ def build_parser():
                    choices=("qdybe", "cdybe", "hecke", "unitarity", "hecke-rep"))
     p.add_argument("--catalog", dest="name", required=True)
     common(p)
-    p.add_argument("--X", default="")
-    p.add_argument("--roots", default="")
-    p.add_argument("--gamma1", default="")
-    p.add_argument("--gamma2", default="")
-    p.add_argument("--l-basis", dest="l_basis", default="")
-    p.add_argument("--quantum", action="store_true")
-    p.add_argument("--part", choices=("J", "R"), default="R")
+    catalog_options(p)
     p.add_argument("--p", type=int, default=3)
     p.set_defaults(func=cmd_verify)
 

@@ -39,10 +39,6 @@ class Mat:
     def identity(cls, n, ctx):
         return cls(n, n, ctx, {i: {i: ctx.one} for i in range(n)})
 
-    @classmethod
-    def zero(cls, nrows, ncols, ctx):
-        return cls(nrows, ncols, ctx)
-
     def copy(self):
         return Mat(self.nrows, self.ncols, self.ctx,
                    {i: dict(r) for i, r in self.rows.items()})

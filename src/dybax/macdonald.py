@@ -15,7 +15,7 @@ coefficients are exact rational functions of t = q^mu.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 
 from .fusion import (
@@ -566,8 +566,12 @@ def _q_matrix_on_dual(module, depth):
     return out
 
 
+@lru_cache(maxsize=None)
 def f_v_series(depth, order, module=None):
-    """F_V(lambda, mu) as a TraceSeries through zeta-order `order`."""
+    """F_V(lambda, mu) as a TraceSeries through zeta-order `order`.
+
+    Memoized: Theorems 9.1, 9.2 and 9.3 all read the series of the default
+    module, and a TraceSeries is never mutated."""
     module, a = sl2_trace_function(depth, module)
     ctx = quantum_ctx(1)
     # Psi(lambda, -mu-rho): substitute t -> q^{-mu-1} in the a_k, prefactor
@@ -628,11 +632,8 @@ def symmetry_residuals(depth, biorder):
     """Theorem 9.3: F_V(lambda,mu) = F*_{V*}(mu,lambda) through bi-order.
 
     Returns the list of mismatched coefficient positions (empty = pass)."""
-    datum = build_type_A(2, "sl")
-    v = sym_power(vector_rep(datum, quantum=True), 2)
-    vd = dual(v)
-    _, f_v = f_v_series(depth, 2 * depth + 2, v)
-    _, f_vd = f_v_series(depth, 2 * depth + 2, vd)
+    v, f_v = f_v_series(depth, 2 * depth + 2)
+    _, f_vd = f_v_series(depth, 2 * depth + 2, dual(v))
     ctx = f_v.ctx
     bad = []
     for i in range(biorder + 1):

@@ -216,6 +216,26 @@ def dual(m):
                         provenance=("dual", m))
 
 
+def hecke_matrix(n, ctx, diag, alpha, beta):
+    """The Hecke-type operator on C^n (x) C^n
+
+        diag * sum_a E_aa (x) E_aa
+        + sum_{a != b} (alpha(a, b) E_aa (x) E_bb + beta(a, b) E_ba (x) E_ab):
+
+    alpha(a, b) is the entry at v_a (x) v_b, and beta(a, b) is the
+    coefficient by which v_a (x) v_b is sent to v_b (x) v_a.  The flat index
+    of v_a (x) v_b is a * n + b."""
+    out = Mat(n * n, n * n, ctx)
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                out.set(a * n + a, a * n + a, diag)
+            else:
+                out.set(a * n + b, a * n + b, alpha(a, b))
+                out.set(b * n + a, a * n + b, beta(a, b))
+    return out
+
+
 def vector_R_matrix(datum, quantum, ctx=None):
     """Constant R-matrix of the vector representation on V (x) V.
 
@@ -224,20 +244,10 @@ def vector_R_matrix(datum, quantum, ctx=None):
     """
     v = vector_rep(datum, quantum)
     ctx = ctx or v.ctx
-    n = v.dim
-    idx = TensorIndex([n, n])
-    out = Mat(n * n, n * n, ctx)
     q = ctx.s ** 2 if quantum else ctx.one
-    qinv = ctx.s ** -2 if quantum else ctx.one
-    for a in range(n):
-        for b in range(n):
-            out.set(idx.flat((a, b)), idx.flat((a, b)), q if a == b else ctx.one)
-    if quantum:
-        for a in range(n):
-            for b in range(a + 1, n):
-                # E_ab (x) E_ba maps v_b (x) v_a -> v_a (x) v_b
-                out.set(idx.flat((a, b)), idx.flat((b, a)), q - qinv)
-    return out
+    # E_ab (x) E_ba with a < b maps v_b (x) v_a -> v_a (x) v_b
+    return hecke_matrix(v.dim, ctx, q, lambda a, b: ctx.one,
+                        lambda a, b: q - 1 / q if a > b else ctx.zero)
 
 
 def permutation_matrix(dim1, dim2, ctx):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .catalog import ClassicalRMatrix
+from .catalog import ClassicalRMatrix, wedge
 from .fusion import DynOp, fusion_exchange_construction, place_in_slots
 from .linalg import Mat
 from .reps import TensorIndex, permutation_matrix, tensor
@@ -188,10 +188,7 @@ def gauge_classical(rmat, kind, data):
         terms = list(rmat.terms)
         pairs = datum.cartan_pairs()
         for (i, j), c in coeffs.items():
-            hi = pairs[i][0]
-            hj = pairs[j][0]
-            terms.append((hi, hj, c))
-            terms.append((hj, hi, -c))
+            terms += wedge(pairs[i][0], pairs[j][0], c)
         return ClassicalRMatrix(datum, ctx, terms, rmat.coupling, rmat.w_eps,
                                 rmat.name + "+2form")
     if kind == 2:
@@ -262,12 +259,9 @@ def gauge_quantum(rop, kind, data):
         out = rop.mat.copy()
         for a in range(n):
             for b in range(n):
-                if a == b:
-                    continue
-                key = (idx.flat((a, b)), idx.flat((a, b)))
-                cur = out[key[0], key[1]]
-                if not cur.is_zero:
-                    out.set(key[0], key[1], cur * _phi_get(ctx, phi, a, b))
+                if a != b:
+                    k = idx.flat((a, b))
+                    out.set(k, k, out[k, k] * _phi_get(ctx, phi, a, b))
         return DynOp([v, v], out)
     if kind == 2:
         nu = [Fraction(x) for x in data]

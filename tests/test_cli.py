@@ -216,6 +216,12 @@ def test_vacuous_trace_residual_is_a_precondition_violation(capsys, line, named)
     ("module --n 3 --spec ext4", "ext4"),
     ("catalog r-l --n 3 --roots a", "'a'"),
     ("catalog appA --n 3 --gamma1 1 --gamma2 2 --l-basis 1,0,x", "1,0,x"),
+    # an l-basis vector of the wrong length was truncated (exit 0), failed
+    # the check (exit 1) or raised IndexError (exit 1)
+    ("catalog appA --n 3 --gamma1 1 --gamma2 2 --l-basis 1,0,-1,5", "(1,0,-1,5)"),
+    ("verify cdybe --catalog appA --n 3 --gamma1 1 --gamma2 2 --l-basis 1,0,-1,5",
+     "(1,0,-1,5)"),
+    ("catalog appA --n 2 --l-basis 1", "(1)"),
     # raised ValueError (exit 1, "check failed")
     ("macdonald corollary91 --m -1", "-1"),
 ])

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from dybax import serialize
+from dybax import macdonald, serialize
+from dybax.cli import main
 from dybax.fusion import exchange_matrix
 from dybax.linalg import Mat
 from dybax.macdonald import (
@@ -222,3 +223,19 @@ def test_mr_equations_and_symmetry():
     _, ok2 = mr_residual(depth=3, order=6, dual_side=True)
     assert ok2
     assert symmetry_residuals(depth=3, biorder=2) == []
+
+
+def test_trace_residual_builds_each_trace_series_once(monkeypatch, capsys):
+    calls = []
+    solve = macdonald.sl2_trace_function
+
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(macdonald, "sl2_trace_function", counted)
+    macdonald.f_v_series.cache_clear()
+    assert main(["macdonald", "trace-residual", "--depth", "3"]) == 0
+    assert '"symmetry_mismatches": []' in capsys.readouterr().out
+    # F_V of V serves Theorems 9.1, 9.2 and 9.3; F_V of V* only Theorem 9.3
+    assert [args[1] is None for args in calls] == [True, False]
