@@ -49,7 +49,6 @@ from .verify import (
     gauge_classical,
     gauge_quantum,
     hecke_check,
-    hecke_parameter,
     perturb_dynop,
     qdybe_residual,
     unitarity_check,
@@ -92,9 +91,9 @@ def criterion_2():
     r = exchange_matrix(v, v)
     ra = exchange_matrix(v, v, method="abrr")
     ctx = j.ctx
-    s, t = ctx.s, ctx.t(0)
-    q = s ** 2
-    big_q = s ** 4 * t ** 2  # q^(2(lambda+1))
+    t = ctx.t(0)
+    q = ctx.q_power(1)
+    big_q = ctx.q_power(2) * t ** 2  # q^(2(lambda+1))
     y = (1 / q - q) / (big_q - 1)
     ok = (j.mat - ja.mat).is_zero and (r.mat - ra.mat).is_zero
     ok = ok and j.mat[2, 1] == y
@@ -154,10 +153,10 @@ def criterion_5():
             subset = [i + 1 for i in range(n) if mask >> i & 1]
             r = quantum_R_X(n, subset)
             ok = ok and qdybe_residual(r).exact_zero
-            ok = ok and hecke_check(r, hecke_parameter(r)).exact_zero
+            ok = ok and hecke_check(r, r.ctx.q_power(1)).exact_zero
             rq = quantum_R_eps_X(n, subset)
             ok = ok and qdybe_residual(rq).exact_zero
-            ok = ok and hecke_check(rq, hecke_parameter(rq)).exact_zero
+            ok = ok and hecke_check(rq, rq.ctx.q_power(1)).exact_zero
             if not ok:
                 return False
     for n in (2, 3):
@@ -224,7 +223,7 @@ def criterion_7():
     ok = ok and qdybe_residual(q1).exact_zero
     q2 = gauge_quantum(rq, 2, (1, Fraction(1, 2), 0))
     ok = ok and qdybe_residual(q2).exact_zero
-    ok = ok and hecke_check(q2, cq.s ** 2).exact_zero
+    ok = ok and hecke_check(q2, cq.q_power(1)).exact_zero
     rx = quantum_R_X(3, [1, 2])
     q3 = gauge_quantum(rx, 3, [1, 2, 0])
     ok = ok and (q3.mat - quantum_R_X(3, [2, 3]).mat).is_zero
@@ -244,7 +243,7 @@ def criterion_8():
         full = list(range(1, n + 1))
         op = quantum_R_X(n, full) if fam == "R-X" else quantum_R_eps_X(n, full)
         for p in (2, 3, 4):
-            _, rep = dynamical_hecke_rep(op, p, hecke_parameter(op))
+            _, rep = dynamical_hecke_rep(op, p, op.ctx.q_power(1))
             ok = ok and rep.exact_zero
     return ok
 

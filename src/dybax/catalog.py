@@ -90,11 +90,7 @@ class ClassicalRMatrix:
 
 def _module_matrix(module, x, ctx):
     """Classical action of x on the module, with entries moved into ctx."""
-    src = module.classical_action(x)
-    out = Mat(module.dim, module.dim, ctx)
-    for (r, c, v) in src.entries():
-        out.set(r, c, ctx.from_fraction(v.to_fraction()))
-    return out
+    return module.classical_action(x).map(lambda v: ctx.from_fraction(v.to_fraction()), ctx)
 
 
 def wedge(x, y, c):
@@ -490,7 +486,7 @@ def quantum_R_eps_X(n, x_set):
     datum = build_type_A(n, "gl")
     v = vector_rep(datum, quantum=True)
     ctx = v.ctx
-    q = ctx.s ** 2
+    q = ctx.q_power(1)
     run_of = _runs(x_set)
 
     # beta_ab multiplies v_a (x) v_b -> v_b (x) v_a: the reading consistent
@@ -533,12 +529,11 @@ def glN_closed_forms(n, quantum=False):
             y = x(a, b)
             return (y - 1) * (y + 1) / y ** 2
     else:
-        s = ctx.s
-        q = diag = s ** 2
+        q = diag = ctx.q_power(1)
 
         def qpow2(a, b):
             # q^(2(lambda_a - lambda_b + (b+1) - (a+1)))
-            return (ctx.t(a) / ctx.t(b)) ** 2 * s ** (4 * (b - a))
+            return (ctx.t(a) / ctx.t(b)) ** 2 * ctx.q_power(2 * (b - a))
 
         def c(a, b):
             return (1 / q - q) / (qpow2(a, b) - 1)

@@ -52,7 +52,6 @@ from .verify import (
     cdybe_residual,
     dynamical_hecke_rep,
     hecke_check,
-    hecke_parameter,
     qdybe_residual,
     unitarity_check,
 )
@@ -197,7 +196,7 @@ def cmd_verify(args):
         reports.append(qdybe_residual(op, name=args.name))
     elif args.equation == "hecke":
         op = _quantum_catalog(args)
-        reports.append(hecke_check(op, hecke_parameter(op), name=args.name))
+        reports.append(hecke_check(op, op.ctx.q_power(1), name=args.name))
     elif args.equation == "cdybe":
         rmat = _classical_catalog(args)
         reports.append(cdybe_residual(rmat))
@@ -206,7 +205,7 @@ def cmd_verify(args):
         reports.append(unitarity_check(rmat))
     elif args.equation == "hecke-rep":
         op = _quantum_catalog(args)
-        _, rep = dynamical_hecke_rep(op, args.p, hecke_parameter(op), name=args.name)
+        _, rep = dynamical_hecke_rep(op, args.p, op.ctx.q_power(1), name=args.name)
         reports.append(rep)
     else:
         raise argparse.ArgumentTypeError(f"unknown equation {args.equation}")
@@ -220,7 +219,7 @@ def _suite_case(case):
     kind, n, subset = case
     op = (quantum_R_X if kind == "R-X" else quantum_R_eps_X)(n, subset)
     ok = qdybe_residual(op).exact_zero and \
-        hecke_check(op, hecke_parameter(op)).exact_zero
+        hecke_check(op, op.ctx.q_power(1)).exact_zero
     return (kind, n, tuple(subset), ok)
 
 

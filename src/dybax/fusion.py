@@ -18,7 +18,9 @@ are data for both flavours, Scalars of one auxiliary field in lambda (or
 q^lambda) and h (or q^h), closed-form classically and generated quantumly
 by running the ABRR recursion symbolically on the q-exponential R0.  One
 evaluator, `universal_coefficient`, specializes them on modules, on Verma
-slices (the Shapovalov comparison) and on duals (the trace functions).
+slices (the Shapovalov comparison) and on duals (the trace functions), and
+`universal_term` builds g_n(lambda, h) e^n on a module for the first and
+the last of these.
 """
 
 from __future__ import annotations
@@ -102,10 +104,7 @@ class DynOp:
         return DynOp(self.factors, out)
 
     def shift_all(self, mu):
-        out = Mat(self.mat.nrows, self.mat.ncols, self.ctx)
-        for (r, c, v) in self.mat.entries():
-            out.set(r, c, v.shift_lambda(mu))
-        return DynOp(self.factors, out)
+        return DynOp(self.factors, self.mat.map(lambda v: v.shift_lambda(mu)))
 
     def flip21(self):
         """PFP on a two-factor operator: the 21-conjugate on swapped factors."""
@@ -234,11 +233,9 @@ def _abrr_denominator(m1, mu, beta):
         return ctx.from_fraction(
             datum.pairing(mu, beta) + datum.pairing(beta, beta) / 2
             - datum.pairing(datum.rho, beta)) - datum.lambda_pairing(ctx, beta)
-    k2 = 2 * Fraction(2 * datum.pairing(datum.rho, beta) - 2 * datum.pairing(mu, beta)
-                      - datum.pairing(beta, beta))
-    if k2.denominator != 1:
-        raise FusionError("non-integral Ad exponent")
-    return datum.q_lambda_pairing(ctx, beta, factor=2) * ctx.s ** int(k2) - 1
+    return datum.q_lambda_pairing(ctx, beta, factor=2) * ctx.q_power(
+        2 * datum.pairing(datum.rho, beta) - 2 * datum.pairing(mu, beta)
+        - datum.pairing(beta, beta)) - 1
 
 
 def _strip_cartan(m1, m2, base):
@@ -254,10 +251,8 @@ def _strip_cartan(m1, m2, base):
     qdiag = Mat(idx.size, idx.size, ctx)
     for a in range(m1.dim):
         for b in range(m2.dim):
-            k2 = -2 * Fraction(datum.pairing(m1.weights[a], m2.weights[b]))
-            if k2.denominator != 1:
-                raise FusionError("non-integral Cartan exponent")
-            qdiag.set(idx.flat((a, b)), idx.flat((a, b)), ctx.s ** int(k2))
+            qdiag.set(idx.flat((a, b)), idx.flat((a, b)),
+                      ctx.q_power(-datum.pairing(m1.weights[a], m2.weights[b])))
     raw = base * qdiag
     const = raw[0, 0]
     for k in range(idx.size):
@@ -301,8 +296,8 @@ def universal_sl2_fusion(depth, quantum=False):
             gs.append(g)
         return tuple(gs)
     aux = aux_ctx(QUANTUM, 1, ("x",))
-    s, t, x = aux.s, aux.t(0), aux.gen("x")
-    q = s ** 2
+    t, x = aux.t(0), aux.gen("x")
+    q = aux.q_power(1)
     d, factorial_q = [aux.one], aux.one
     for k in range(1, depth + 1):
         factorial_q = factorial_q * (q ** k - q ** -k) / (q - 1 / q)
@@ -311,11 +306,11 @@ def universal_sl2_fusion(depth, quantum=False):
     for n in range(1, depth + 1):
         rhs = aux.zero
         for k in range(1, n + 1):
-            # q^{2 theta(u-2k) - 2 theta(u)} = t^{-2k} x^{2k} s^{-4k-4k^2}
-            ratio = t ** (-2 * k) * x ** (2 * k) * s ** (-4 * k - 4 * k * k)
-            g_prev = gs[n - k].monomial_subs({"x": x * s ** (-4 * k)})
+            # q^{2 theta(u-2k) - 2 theta(u)} = t^{-2k} x^{2k} q^{-2k-2k^2}
+            ratio = t ** (-2 * k) * x ** (2 * k) * aux.q_power(-2 * k - 2 * k * k)
+            g_prev = gs[n - k].monomial_subs({"x": x * aux.q_power(-2 * k)})
             rhs = rhs + d[k] * ratio * g_prev
-        lhs_factor = t ** (-2 * n) * x ** (2 * n) * s ** (-4 * n - 4 * n * n) - 1
+        lhs_factor = t ** (-2 * n) * x ** (2 * n) * aux.q_power(-2 * n - 2 * n * n) - 1
         gs.append(rhs / lhs_factor)
     return tuple(gs)
 
@@ -329,14 +324,21 @@ def universal_coefficient(g, ctx, lam, h):
 
 
 def h_value(ctx, h):
-    """An h-eigenvalue as a Scalar of ctx: h classically, q^h = s^(2h)
-    quantumly."""
+    """An h-eigenvalue as a Scalar of ctx: h classically, q^h quantumly."""
     if ctx.mode != QUANTUM:
         return ctx.from_fraction(h)
-    k2 = 2 * Fraction(h)
-    if k2.denominator != 1:
-        raise FusionError("non-integral h eigenvalue")
-    return ctx.s ** int(k2)
+    return ctx.q_power(h)
+
+
+def universal_term(g, module, lam, e_pow):
+    """g(lam, h) e^n on an sl2 module, for e_pow the matrix of e^n there:
+    each entry times g at the h-eigenvalue of its row, read after raising."""
+    ctx = module.ctx
+    out = Mat(e_pow.nrows, e_pow.ncols, ctx)
+    for (r, c, v) in e_pow.entries():
+        h = h_value(ctx, module.weights[r][0])
+        out.set(r, c, universal_coefficient(g, ctx, lam, h) * v)
+    return out
 
 
 def evaluate_universal_sl2(terms, m1, m2):
@@ -355,11 +357,7 @@ def evaluate_universal_sl2(terms, m1, m2):
         e_pow = e_mat * e_pow
         if f_pow.is_zero or e_pow.is_zero:
             break
-        g_e = Mat(m2.dim, m2.dim, ctx)
-        for (r2, c2, ev) in e_pow.entries():
-            h = h_value(ctx, m2.weights[r2][0])  # eigenvalue after raising
-            g_e.set(r2, c2, universal_coefficient(g, ctx, lam, h) * ev)
-        out = out + kron(f_pow, g_e)
+        out = out + kron(f_pow, universal_term(g, m2, lam, e_pow))
     return DynOp([m1, m2], out)
 
 
@@ -400,7 +398,7 @@ def shapovalov_vs_fusion(datum, depth, quantum=False):
         s_j = gram[0, 0]
         inv_side = ctx.from_fraction(Fraction((-1) ** j)) / s_j
         if quantum:
-            inv_side = inv_side * ctx.t(0) ** (-j) * ctx.s ** (2 * j * (j - 1))
+            inv_side = inv_side * ctx.t(0) ** (-j) * ctx.q_power(j * (j - 1))
         # universal side: h-eigenvalue of e^j x^-_{-lambda} is -lambda + 2j
         uni = universal_sl2_at_zero(terms[j], ctx, 2 * j, quantum)
         residuals.append(uni - inv_side)

@@ -65,12 +65,23 @@ class Mat:
             for j, v in row.items():
                 yield i, j, v
 
+    def map(self, fn, ctx=None):
+        """The matrix of fn(entry), over ctx (default: this matrix's
+        field), with the entries that fn sends to zero dropped."""
+        out = Mat(self.nrows, self.ncols, ctx or self.ctx)
+        for i, row in self.rows.items():
+            image = {}
+            for j, v in row.items():
+                w = fn(v)
+                if not w.is_zero:
+                    image[j] = w
+            if image:
+                out.rows[i] = image
+        return out
+
     def __mul__(self, other):
         if isinstance(other, Scalar):
-            out = Mat(self.nrows, self.ncols, self.ctx)
-            for i, j, v in self.entries():
-                out.set(i, j, v * other)
-            return out
+            return self.map(lambda v: v * other)
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         out = Mat(self.nrows, other.ncols, self.ctx)
@@ -104,8 +115,7 @@ class Mat:
         return out
 
     def __neg__(self):
-        return Mat(self.nrows, self.ncols, self.ctx,
-                   {i: {j: -v for j, v in r.items()} for i, r in self.rows.items()})
+        return self.map(lambda v: -v)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

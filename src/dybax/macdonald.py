@@ -20,9 +20,8 @@ from itertools import combinations, permutations
 
 from .fusion import (
     exchange_matrix,
-    h_value,
-    universal_coefficient,
     universal_sl2_fusion,
+    universal_term,
 )
 from .linalg import Mat
 from .reps import TensorIndex, dual, sym_power, trivial_rep, vector_rep
@@ -72,11 +71,8 @@ class DiffOp:
 
     def _shift_mat(self, mat, nu):
         """Coefficient matrix evaluated at lambda + nu."""
-        out = Mat(mat.nrows, mat.ncols, self.ctx)
         neg = [-x for x in nu]
-        for (r, c, v) in mat.entries():
-            out.set(r, c, v.shift_lambda(neg))
-        return out
+        return mat.map(lambda v: v.shift_lambda(neg))
 
     def __mul__(self, other):
         if not isinstance(other, DiffOp):
@@ -143,10 +139,7 @@ class DiffOp:
         mapping = {"s": 1 / ctx.s}
         out = DiffOp(ctx, self.dim)
         for nu, m in self.terms.items():
-            m2 = Mat(m.nrows, m.ncols, ctx)
-            for (r, c, v) in m.entries():
-                m2.set(r, c, v.subs(mapping))
-            out._add(tuple(-x for x in nu), m2)
+            out._add(tuple(-x for x in nu), m.map(lambda v: v.subs(mapping)))
         return out
 
 
@@ -175,7 +168,7 @@ def transfer_diffop(traced, base, zero_weight=None):
     if ctx.mode == "classical":
         flip = {f"l{a + 1}": -ctx.lam(a) - datum.rho[a] for a in range(datum.n_coords)}
     else:
-        flip = {f"t{a + 1}": ctx.s ** int(-2 * datum.rho[a]) / ctx.t(a)
+        flip = {f"t{a + 1}": ctx.q_power(-datum.rho[a]) / ctx.t(a)
                 for a in range(datum.n_coords)}
     if zero_weight is None:
         base_idx = list(range(base.dim))
@@ -207,7 +200,7 @@ def macdonald_operator(n, r, m):
     if not 1 <= r <= n:
         raise MacdonaldError("need 1 <= r <= n")
     ctx = quantum_ctx(n)
-    t_par = ctx.s ** (2 * (m + 1))
+    t_par = ctx.q_power(m + 1)
     out = DiffOp(ctx, 1)
     for subset in combinations(range(n), r):
         coeff = ctx.one
@@ -231,8 +224,7 @@ def macdonald_eigenvalue(n, r, m, mu):
     for subset in combinations(range(n), r):
         term = ctx.one
         for i in subset:
-            expo = 4 * mu[i] + 2 * (m + 1) * (n + 1 - 2 * (i + 1))
-            term = term * ctx.s ** expo
+            term = term * ctx.q_power(2 * mu[i] + (m + 1) * (n + 1 - 2 * (i + 1)))
         out = out + term
     return out
 
@@ -404,7 +396,7 @@ def delta_q_sl2(ctx):
 def gamma_m_sl2(ctx, m):
     out = ctx.one
     for i in range(1, m + 1):
-        out = out * (ctx.t(0) - ctx.s ** (4 * i) / ctx.t(0))
+        out = out * (ctx.t(0) - ctx.q_power(2 * i) / ctx.t(0))
     return out
 
 
@@ -495,16 +487,16 @@ class TraceSeries:
         out = []
         for i, a in enumerate(self.coeffs):
             k = self.val + i
-            out.append(a * tfac * self.ctx.s ** int(-2 * c * k))
+            out.append(a * tfac * self.ctx.q_power(-c * k))
         return TraceSeries(self.ctx, self.mu_exp, self.val, out)
 
     def shift_mu_by(self, c):
         """mu -> mu + c: t -> q^c t, prefactor gains zeta^(-exp*c)."""
         c = Fraction(c)
         zshift = self.mu_exp * c
-        if (2 * c).denominator != 1 or zshift.denominator != 1:
+        if zshift.denominator != 1:
             raise MacdonaldError("non-integral mu shift")
-        sub = {"t1": self.ctx.t(0) * self.ctx.s ** int(2 * c)}
+        sub = {"t1": self.ctx.t(0) * self.ctx.q_power(c)}
         out = [a.subs(sub) for a in self.coeffs]
         return TraceSeries(self.ctx, self.mu_exp, self.val - int(zshift), out)
 
@@ -542,7 +534,7 @@ def _q_matrix_on_dual(module, depth):
     fusion at argument -mu-rho pushed through m^op (1 (x) S^{-1})."""
     ctx = module.ctx
     coeffs = universal_sl2_fusion(depth, quantum=True)
-    arg = ctx.s ** -2 / ctx.t(0)  # q^(-mu - rho)
+    arg = ctx.q_power(-1) / ctx.t(0)  # q^(-mu - rho)
     e_mat = module.e(0)
     f_mat = module.f(0)
     k_inv = module.k_diag(0, inverse=True)
@@ -558,11 +550,7 @@ def _q_matrix_on_dual(module, depth):
         if e_pow.is_zero:
             break
         # G_n = g_n(arg, h) e^n evaluated on the module, arg = -mu - rho
-        g_eval = Mat(module.dim, module.dim, ctx)
-        for (r, c, v) in e_pow.entries():
-            h = h_value(ctx, module.weights[r][0])
-            g_eval.set(r, c, universal_coefficient(g, ctx, arg, h) * v)
-        out = out + g_eval.transpose() * sf_pow_t
+        out = out + universal_term(g, module, arg, e_pow).transpose() * sf_pow_t
     return out
 
 
@@ -576,7 +564,7 @@ def f_v_series(depth, order, module=None):
     ctx = quantum_ctx(1)
     # Psi(lambda, -mu-rho): substitute t -> q^{-mu-1} in the a_k, prefactor
     # becomes q^{-2(lambda,mu)} zeta
-    sub = {"t1": ctx.s ** -2 / ctx.t(0)}
+    sub = {"t1": ctx.q_power(-1) / ctx.t(0)}
     coeffs = [ctx.zero] * (order + 1)
     for k, ak in enumerate(a):
         if 2 * k <= order:

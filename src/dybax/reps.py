@@ -79,12 +79,9 @@ class WeightModule:
         return self._f[i]
 
     def k_power(self, i, j, inverse=False):
-        """K_i on basis j: the s-exponent 2*(alpha_i, wt_j) as a Scalar."""
-        k2 = 2 * self.datum.pairing(self.datum.simple_roots[i], self.weights[j])
-        if Fraction(k2).denominator != 1:
-            raise ModuleError("K eigenvalue not Laurent in s")
-        k2 = int(k2) * (-1 if inverse else 1)
-        return self.ctx.s ** k2
+        """K_i (or K_i^-1) on basis j: q^(+-(alpha_i, wt_j)), 1 classically."""
+        x = self.datum.pairing(self.datum.simple_roots[i], self.weights[j])
+        return self.ctx.q_power(-x if inverse else x)
 
     def k_diag(self, i, inverse=False):
         out = Mat(self.dim, self.dim, self.ctx)
@@ -184,35 +181,29 @@ def tensor(m1, m2):
     """Tensor product module under the fixed coproduct convention."""
     if m1.datum is not m2.datum or m1.quantum != m2.quantum:
         raise ModuleError("tensor factors over different data/flavors")
-    datum, quantum, ctx = m1.datum, m1.quantum, m1.ctx
+    datum, ctx = m1.datum, m1.ctx
     labels = [f"{a}(x){b}" for a in m1.labels for b in m2.labels]
     weights = [weight_add(w1, w2) for w1 in m1.weights for w2 in m2.weights]
     one1, one2 = Mat.identity(m1.dim, ctx), Mat.identity(m2.dim, ctx)
     e_mats, f_mats = {}, {}
     for i in range(datum.rank):
-        k1_inv = m1.k_diag(i, inverse=True) if quantum else one1
-        k2 = m2.k_diag(i) if quantum else one2
-        e_mats[i] = kron(m1.e(i), one2) + kron(k1_inv, m2.e(i))
-        f_mats[i] = kron(m1.f(i), k2) + kron(one1, m2.f(i))
-    return WeightModule(datum, quantum, labels, weights, e_mats, f_mats,
+        e_mats[i] = kron(m1.e(i), one2) + kron(m1.k_diag(i, inverse=True), m2.e(i))
+        f_mats[i] = kron(m1.f(i), m2.k_diag(i)) + kron(one1, m2.f(i))
+    return WeightModule(datum, m1.quantum, labels, weights, e_mats, f_mats,
                         provenance=("tensor", m1, m2))
 
 
 def dual(m):
-    """Left dual module: classical a -> -a^T, quantum a -> S(a)^T."""
-    datum, quantum, ctx = m.datum, m.quantum, m.ctx
+    """Left dual module: a -> S(a)^T with S(e) = -K e and S(f) = -f K^{-1},
+    so a -> -a^T classically (K = 1)."""
+    datum = m.datum
     labels = [f"{a}*" for a in m.labels]
     weights = [weight_neg(w) for w in m.weights]
     e_mats, f_mats = {}, {}
     for i in range(datum.rank):
-        if not quantum:
-            e_mats[i] = (-m.e(i)).transpose()
-            f_mats[i] = (-m.f(i)).transpose()
-        else:
-            # S(e) = -K e, S(f) = -f K^{-1}
-            e_mats[i] = (-(m.k_diag(i) * m.e(i))).transpose()
-            f_mats[i] = (-(m.f(i) * m.k_diag(i, inverse=True))).transpose()
-    return WeightModule(datum, quantum, labels, weights, e_mats, f_mats,
+        e_mats[i] = (-(m.k_diag(i) * m.e(i))).transpose()
+        f_mats[i] = (-(m.f(i) * m.k_diag(i, inverse=True))).transpose()
+    return WeightModule(datum, m.quantum, labels, weights, e_mats, f_mats,
                         provenance=("dual", m))
 
 
@@ -236,17 +227,15 @@ def hecke_matrix(n, ctx, diag, alpha, beta):
     return out
 
 
-def vector_R_matrix(datum, quantum, ctx=None):
-    """Constant R-matrix of the vector representation on V (x) V.
+def vector_R_matrix(datum, ctx):
+    """Constant R-matrix of the vector representation on V (x) V over ctx.
 
     q * sum E_aa (x) E_aa + sum_{a != b} E_aa (x) E_bb
-    + (q - q^{-1}) * sum_{a < b} E_ab (x) E_ba,  with q -> 1 classically.
+    + (q - q^{-1}) * sum_{a < b} E_ab (x) E_ba,  so R = 1 classically (q = 1).
     """
-    v = vector_rep(datum, quantum)
-    ctx = ctx or v.ctx
-    q = ctx.s ** 2 if quantum else ctx.one
+    q = ctx.q_power(1)
     # E_ab (x) E_ba with a < b maps v_b (x) v_a -> v_a (x) v_b
-    return hecke_matrix(v.dim, ctx, q, lambda a, b: ctx.one,
+    return hecke_matrix(datum.n, ctx, q, lambda a, b: ctx.one,
                         lambda a, b: q - 1 / q if a > b else ctx.zero)
 
 
@@ -303,7 +292,7 @@ def constant_R(m1, m2):
         r12 = place_operator(constant_R(m1, a), [m1.dim, a.dim, b.dim], 0, 1)
         return r13 * r12
     if k1 == "vector" and k2 == "vector":
-        return vector_R_matrix(m1.datum, m1.quantum, ctx)
+        return vector_R_matrix(m1.datum, ctx)
     raise ModuleError(f"no constant R for provenance {k1}/{k2}")
 
 
@@ -353,13 +342,10 @@ def _restrict(big, embed):
 def _power_projector_rows(module, power, anti):
     """Rows of the stacked pairwise projectors whose joint kernel is the
     q-(anti)symmetric power inside the tensor power."""
-    datum, quantum, ctx = module.datum, module.quantum, module.ctx
+    ctx = module.ctx
     n = module.dim
-    rbase = vector_R_matrix(datum, quantum, ctx)
-    p = permutation_matrix(n, n, ctx)
-    pr = p * rbase
-    q = ctx.s ** 2 if quantum else ctx.one
-    qinv = ctx.s ** -2 if quantum else ctx.one
+    pr = permutation_matrix(n, n, ctx) * vector_R_matrix(module.datum, ctx)
+    q, qinv = ctx.q_power(1), ctx.q_power(-1)
     denom = q + qinv
     # projector onto the PR eigenvalue q (symmetric part): (PR + q^{-1})/(q+q^{-1})
     sym = (pr + Mat.identity(n * n, ctx) * qinv) * (ctx.one / denom)
@@ -444,16 +430,15 @@ def check_module_relations(m):
                 continue
             if m.quantum:
                 target = Mat(m.dim, m.dim, ctx)
-                q, qinv = ctx.s ** 2, ctx.s ** -2
+                q_diff = ctx.q_power(1) - ctx.q_power(-1)
                 for b in range(m.dim):
-                    target.set(b, b, (m.k_power(i, b) - m.k_power(i, b, True))
-                               / (q - qinv))
+                    target.set(b, b, (m.k_power(i, b) - m.k_power(i, b, True)) / q_diff)
             else:
                 target = m.cartan_diag([c for c in _coroot_diag(datum, i)])
             if not (comm - target).is_zero:
                 raise ModuleError(f"[e_{i}, f_{i}] relation fails")
-    # Serre relations on generators
-    two = (m.ctx.s ** 2 + m.ctx.s ** -2) if m.quantum else m.ctx.from_fraction(2)
+    # Serre relations on generators, with [2]_q = q + q^-1 (2 classically)
+    two = ctx.q_power(1) + ctx.q_power(-1)
     for i in range(datum.rank):
         for j in range(datum.rank):
             if i == j:

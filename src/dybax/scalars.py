@@ -7,7 +7,8 @@ coefficients (rational constants enter as integer fractions).
 * classical mode -- rational functions in the lambda-coordinates l1..ln;
 * quantum mode   -- rational functions in s and t1..tn, encoding
   s = q^(1/2) and t_i = q^(lambda_i), so that half-integer lambda shifts
-  stay Laurent in s;
+  stay Laurent in s; ``Context.q_power`` forms every q^x, and gives 1 on
+  a classical field (the q = 1 case);
 * symbol mode    -- rational functions in e, w1..wn, l1..ln, encoding the
   deformation coupling epsilon and the exponentials w_a = exp(-e*l_a/2).
   This field hosts the coefficients of gamma-series (the step-gamma limit)
@@ -129,6 +130,19 @@ class Context:
 
     def w(self, i):
         return self.gen(f"w{i + 1}")
+
+    def q_power(self, x):
+        """q^x as a Scalar: s^(2x) on a quantum field, where 2x must be an
+        integer, and one on a classical field, whose objects are the q = 1
+        case.  The symbol field has no q."""
+        if self.mode == CLASSICAL:
+            return self.one
+        if self.mode != QUANTUM:
+            raise ScalarError("the symbol field has no q-powers")
+        k = 2 * Fraction(x)
+        if k.denominator != 1:
+            raise UnsupportedShiftError(f"q^{x} is not Laurent in s = q^(1/2)")
+        return self.s ** int(k)
 
     def from_fraction(self, value):
         value = Fraction(value)

@@ -17,7 +17,6 @@ from .fusion import DynOp, fusion_exchange_construction, place_in_slots
 from .linalg import Mat
 from .reps import TensorIndex, permutation_matrix, tensor
 from .rootdata import add_tensor, mat_bracket
-from .scalars import QUANTUM
 
 
 class VerifyError(Exception):
@@ -34,6 +33,13 @@ class InvalidGaugeError(VerifyError):
 
 @dataclass
 class ResidualReport:
+    """The outcome of one exact check.
+
+    entries_checked counts what each check walks: the nonzero residual
+    entries for qdybe, hecke and cocycle (so 0 on a pass), the touched
+    g (x) g (x) g (or g (x) g) keys for cdybe and unitarity, and the
+    relations for dynamical-hecke."""
+
     equation: str
     operands: str
     exact_zero: bool
@@ -119,13 +125,6 @@ def cdybe_residual(rmat, name=None):
     return _report("cdybe", name, sorted(acc.items()))
 
 
-def hecke_parameter(rop):
-    """The Hecke parameter q of an exchange operator: s^2 on a quantum
-    field, 1 on a classical one (the rational R_X and closed forms)."""
-    ctx = rop.ctx
-    return ctx.s ** 2 if ctx.mode == QUANTUM else ctx.one
-
-
 def hecke_check(rop, q, name="R"):
     """PR has eigenvalue 1 on V_a (x) V_a and eigenvalues 1, -q on the mixed
     weight blocks: (PR - 1) kills the diagonal blocks and (PR-1)(PR+q) = 0."""
@@ -136,12 +135,10 @@ def hecke_check(rop, q, name="R"):
     pr = DynOp([v, v], permutation_matrix(n, n, ctx) * rop.mat)
     ident = Mat.identity(n * n, ctx)
     m1 = pr.mat - ident
-    for a in range(n):
-        col = idx.flat((a, a))
-        for r in range(n * n):
-            if not m1[r, col].is_zero:
-                return ResidualReport("hecke", name, False,
-                                      ((idx.multi(r), (a, a)), m1[r, col].to_text()))
+    diagonal = _report("hecke", name, ((key, v) for key, v in _matrix_pairs(m1, idx)
+                                       if key[1][0] == key[1][1]))
+    if not diagonal.exact_zero:
+        return diagonal
     quad = m1 * (pr.mat + ident * q)
     return _report("hecke", name, _matrix_pairs(quad, idx))
 
@@ -336,29 +333,32 @@ def dynamical_hecke_rep(rop, p, q, name="R"):
             DynOp([v, v], permutation_matrix(v.dim, v.dim, ctx)), factors, i, i + 1)
         ops.append(DynOp(factors, pmat.mat * placed.mat))
     ident = Mat.identity(ops[0].dim, ctx)
-    failures = []
-    count = 0
-    for i, op in enumerate(ops):
-        quad = (op.mat - ident) * (op.mat + ident * q)
-        count += 1
-        if not quad.is_zero:
-            failures.append(("quadratic", i, _first_entry(quad)))
-    for i in range(len(ops) - 1):
-        lhs = ops[i].mat * ops[i + 1].mat * ops[i].mat
-        rhs = ops[i + 1].mat * ops[i].mat * ops[i + 1].mat
-        count += 1
-        if not (lhs - rhs).is_zero:
-            failures.append(("braid", i, _first_entry(lhs - rhs)))
-    for i in range(len(ops)):
-        for j in range(i + 2, len(ops)):
-            comm = ops[i].mat * ops[j].mat - ops[j].mat * ops[i].mat
-            count += 1
-            if not comm.is_zero:
-                failures.append(("locality", (i, j), _first_entry(comm)))
-    report = ResidualReport("dynamical-hecke", f"{name}, p={p}",
-                            not failures,
-                            failures[0] if failures else None, count)
-    return ops, report
+    idx = TensorIndex([v.dim] * p)
+
+    def relations():
+        for i, op in enumerate(ops):
+            quad = (op.mat - ident) * (op.mat + ident * q)
+            yield _relation_pair("quadratic", (i,), quad, idx)
+        for i in range(len(ops) - 1):
+            lhs = ops[i].mat * ops[i + 1].mat * ops[i].mat
+            rhs = ops[i + 1].mat * ops[i].mat * ops[i + 1].mat
+            yield _relation_pair("braid", (i, i + 1), lhs - rhs, idx)
+        for i in range(len(ops)):
+            for j in range(i + 2, len(ops)):
+                comm = ops[i].mat * ops[j].mat - ops[j].mat * ops[i].mat
+                yield _relation_pair("locality", (i, j), comm, idx)
+
+    return ops, _report("dynamical-hecke", f"{name}, p={p}", relations())
+
+
+def _relation_pair(relation, gens, mat, idx):
+    """One (key, value) pair for the relation mat = 0: its first nonzero
+    entry, keyed by the relation, its generators and the entry's row and
+    column multi-indices, or a zero value when the relation holds."""
+    for key, v in _matrix_pairs(mat, idx):
+        if not v.is_zero:
+            return (relation, gens) + key, v
+    return (relation, gens), mat.ctx.zero
 
 
 def _first_entry(mat):

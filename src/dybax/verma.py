@@ -284,16 +284,14 @@ class VermaSliceQ(VermaSlice):
 
     def cartan(self, i, drop):
         kinv = self.k_inverse(i, drop)
-        return (1 / kinv - kinv) / (self.ctx.s ** 2 - self.ctx.s ** -2)
+        return (1 / kinv - kinv) / (self.ctx.q_power(1) - self.ctx.q_power(-1))
 
     def k_inverse(self, i, drop):
         """K_i^-1 on weight lambda + offset - drop, q^-(lambda + offset - drop, alpha_i)."""
         datum, ctx = self.datum, self.ctx
         alpha = datum.simple_roots[i]
-        k2 = -2 * Fraction(datum.pairing(alpha, weight_sub(self.offset, drop)))
-        if k2.denominator != 1:
-            raise VermaError("K eigenvalue not Laurent in s")
-        return datum.q_lambda_pairing(ctx, alpha, factor=-1) * ctx.s ** int(k2)
+        return datum.q_lambda_pairing(ctx, alpha, factor=-1) * ctx.q_power(
+            -datum.pairing(alpha, weight_sub(self.offset, drop)))
 
     gram = shapovalov_gram
     coords = VermaSlice.coords
@@ -394,7 +392,7 @@ def apply_coproduct_word(phi, letters):
     for i in reversed(letters):
         nxt = {}
         for (key, u), c in vec.items():
-            k = aux.k_power(i, u) if slice_.quantum else ctx.one
+            k = aux.k_power(i, u)
             for key2, v2 in slice_.act_simple("f", i, {key: ctx.one}).items():
                 _accumulate(nxt, (key2, u), c * v2 * k)
             for (r, uc, vv) in aux.f(i).entries():

@@ -158,6 +158,19 @@ def test_acceptance_rejects_unknown_criterion(capsys):
     assert code == 2 and out == ""  # runs nothing, so it must not pass
 
 
+def test_hecke_rep_witness_names_the_failing_relation(capsys):
+    # the closed-form J is not of Hecke type: the witness is the relation,
+    # its generators, the entry's row and column, and the entry's text
+    code, out = run_cli(capsys, ["verify", "hecke-rep", "--catalog", "gl-closed-form",
+                                 "--n", "2", "--part", "J", "--p", "3"])
+    assert code == 1
+    report = json.loads(out)["reports"][0]
+    assert report["exact_zero"] is False and report["entries_checked"] == 3
+    assert report["witness"] == {
+        "index": ["quadratic", [0], [0, 1, 0], [0, 1, 0]],
+        "value": "(1)/(l1^2 - 2*l1*l2 + l2^2 + 2*l1 - 2*l2 + 1)"}
+
+
 def test_hecke_rep_with_one_slot_is_a_precondition_violation(capsys):
     code, out = run_cli(capsys, ["verify", "hecke-rep", "--catalog", "R-eps-X",
                                  "--n", "2", "--X", "1,2", "--p", "1"])

@@ -82,7 +82,7 @@ def test_quantum_sym_power_and_hecke_split():
     check_module_relations(s2)
     # constant R eigen-split: (PR - q)(PR + q^-1) = 0 in this normalization
     ctx = v.ctx
-    pr = permutation_matrix(2, 2, ctx) * vector_R_matrix(datum, True, ctx)
+    pr = permutation_matrix(2, 2, ctx) * vector_R_matrix(datum, ctx)
     q, qinv = ctx.s ** 2, ctx.s ** -2
     ident = Mat.identity(4, ctx)
     assert ((pr - ident * q) * (pr + ident * qinv)).is_zero

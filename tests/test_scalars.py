@@ -4,6 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dybax.linalg import Mat
+from dybax.reps import sym_power, vector_rep
+from dybax.rootdata import build_type_A
 from dybax.scalars import (
     NotRegularError,
     ScalarError,
@@ -244,3 +247,25 @@ def test_symbol_shift_rejects_exponential_factors():
     with pytest.raises(UnsupportedShiftError):
         x.shift_lambda([1, 0])
     assert x.shift_lambda([0, 1]) == ctx.w(0) / (ctx.lam(0) - ctx.lam(1) + 1)
+
+
+def test_q_power_on_the_quantum_field():
+    ctx = quantum_ctx(1)
+    assert ctx.q_power(Fraction(1, 2)) == ctx.s
+    assert ctx.q_power(-1) == ctx.s ** -2
+    with pytest.raises(UnsupportedShiftError):
+        ctx.q_power(Fraction(1, 4))
+
+
+def test_q_power_is_one_classically_and_undefined_on_symbols():
+    assert classical_ctx(2).q_power(Fraction(3, 2)) == classical_ctx(2).one
+    with pytest.raises(ScalarError):
+        symbol_ctx(1).q_power(1)
+
+
+def test_classical_k_diag_is_the_identity():
+    # reps.tensor builds the classical coproduct with K = 1 through k_diag
+    module = sym_power(vector_rep(build_type_A(3, "gl")), 2)
+    for i in range(2):
+        for inverse in (False, True):
+            assert module.k_diag(i, inverse) == Mat.identity(module.dim, module.ctx)

@@ -66,6 +66,16 @@ def test_hecke_identity_parameter():
     assert not hecke_check(ident, ident.ctx.from_fraction(-1)).exact_zero
 
 
+def test_hecke_diagonal_stage_is_a_residual_report():
+    # 2 * identity: PR - 1 = 2P - 1 does not kill the diagonal blocks
+    datum = build_type_A(2, "gl")
+    v = vector_rep(datum)
+    twice = DynOp.identity([v, v]) * v.ctx.from_fraction(2)
+    report = hecke_check(twice, twice.ctx.one)
+    assert not report.exact_zero and report.entries_checked == 2
+    assert report.witness == (((0, 0), (0, 0)), "1")
+
+
 def test_cocycle_zero_on_triples():
     d_sl2 = build_type_A(2, "sl")
     v = vector_rep(d_sl2)
