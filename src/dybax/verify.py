@@ -362,6 +362,8 @@ def _relation_pair(relation, gens, mat, idx):
 
 
 def _first_entry(mat):
+    """The first nonzero entry of mat as ((row, col), text), or None; the
+    benchmark's perturbed-J jobs record it as their witness."""
     for (r, c, v) in sorted(mat.entries()):
         if not v.is_zero:
             return ((r, c), v.to_text())
