@@ -34,9 +34,8 @@ from .macdonald import (
     corollary91_check,
     macdonald_operator,
     macdonald_polynomial,
-    mr_residual,
     schur_polynomial,
-    symmetry_residuals,
+    trace_residuals,
     transfer_diffop,
 )
 from .reps import ext_power, sym_power, tensor, vector_rep
@@ -46,6 +45,7 @@ from .verify import (
     cdybe_residual,
     cocycle_residual,
     dynamical_hecke_rep,
+    family_check,
     gauge_classical,
     gauge_quantum,
     hecke_check,
@@ -151,12 +151,8 @@ def criterion_5():
     for n in (2, 3, 4):
         for mask in range(1 << n):
             subset = [i + 1 for i in range(n) if mask >> i & 1]
-            r = quantum_R_X(n, subset)
-            ok = ok and qdybe_residual(r).exact_zero
-            ok = ok and hecke_check(r, r.ctx.q_power(1)).exact_zero
-            rq = quantum_R_eps_X(n, subset)
-            ok = ok and qdybe_residual(rq).exact_zero
-            ok = ok and hecke_check(rq, rq.ctx.q_power(1)).exact_zero
+            for family in ("R-X", "R-eps-X"):
+                ok = ok and family_check((family, n, subset))
             if not ok:
                 return False
     for n in (2, 3):
@@ -332,9 +328,7 @@ def criterion_12():
 
 def criterion_13():
     """Trace functions: MR equations through order 3, symmetry to bi-order 2."""
-    _, ok1 = mr_residual(depth=3, order=6)
-    _, ok2 = mr_residual(depth=3, order=6, dual_side=True)
-    bad = symmetry_residuals(depth=3, biorder=2)
+    ok1, ok2, bad = trace_residuals(depth=3, order=3, biorder=2)
     return ok1 and ok2 and not bad
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from .fusion import DynOp
-from .linalg import Mat, kernel_basis, kron, rank_of, rref
+from .linalg import Mat, kernel_basis, rank_of, rref
 from .reps import hecke_matrix, vector_rep
 from .rootdata import (
     add_tensor,
@@ -79,18 +79,18 @@ class ClassicalRMatrix:
         return {k: v for k, v in out.items() if not v.is_zero}
 
     def evaluate(self, m1, m2):
-        """Evaluation on a pair of classical weight modules, over self.ctx:
-        the sum of c * kron(a, b) over the terms."""
-        ctx = self.ctx
-        out = Mat(m1.dim * m2.dim, m1.dim * m2.dim, ctx)
-        for (a, b, c) in self.terms:
-            out = out + kron(_module_matrix(m1, a, ctx), _module_matrix(m2, b, ctx)) * c
+        """The matrix on V (x) V, over self.ctx, for V the classical vector
+        representation, where each g-element is its own matrix: the
+        coefficient of E_ij (x) E_kl in `as_tensor` is the entry at
+        (v_i (x) v_k, v_j (x) v_l)."""
+        for m in (m1, m2):
+            if m.provenance[0] != "vector" or m.quantum:
+                raise CatalogError(f"{m!r} is not the classical vector representation")
+        n = m1.dim
+        out = Mat(n * n, n * n, self.ctx)
+        for ((i, j), (k, l)), c in self.as_tensor().items():
+            out.set(i * n + k, j * n + l, c)
         return DynOp([m1, m2], out)
-
-
-def _module_matrix(module, x, ctx):
-    """Classical action of x on the module, with entries moved into ctx."""
-    return module.classical_action(x).map(lambda v: ctx.from_fraction(v.to_fraction()), ctx)
 
 
 def wedge(x, y, c):
@@ -123,17 +123,14 @@ def _exp_monomial(ctx, kappas, error):
 
 def u_alpha(ctx, datum, alpha):
     """The monomial exp(eps*(alpha, lambda)) in the w-symbols."""
-    if datum.sl2_model:
-        kappas = [Fraction(alpha[0]) / 2]
-    else:
-        kappas = [Fraction(x) for x in alpha]
-    return _exp_monomial(ctx, kappas, CatalogError("non-integral exponential monomial"))
+    return _exp_monomial(ctx, datum.form_dual(alpha),
+                         CatalogError("non-integral exponential monomial"))
 
 
 def _rational_r(datum, roots, name):
     """The zero-coupling r-matrix sum_alpha (e_a wedge e_-a)/(lambda, alpha)
     over the given positive roots, in their order."""
-    ctx = datum.classical_field()
+    ctx = datum.field(quantum=False)
     terms = []
     for alpha in roots:
         terms += _root_wedge(datum, alpha, 1 / datum.lambda_pairing(ctx, alpha))

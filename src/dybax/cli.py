@@ -40,8 +40,7 @@ from .macdonald import (
     corollary91_check,
     macdonald_operator,
     macdonald_polynomial,
-    mr_residual,
-    symmetry_residuals,
+    trace_residuals,
 )
 from .reps import ext_power, sym_power, vector_rep
 from .rootdata import RootDatumError, build_type_A
@@ -51,6 +50,7 @@ from .verify import (
     VerifyError,
     cdybe_residual,
     dynamical_hecke_rep,
+    family_check,
     hecke_check,
     qdybe_residual,
     unitarity_check,
@@ -189,14 +189,26 @@ def cmd_fusion(args):
     return status
 
 
+def _hecke_operand(args):
+    """The operator and parameter q of the Hecke checks, which read PR = 1 on
+    V_a (x) V_a and (PR - 1)(PR + q) = 0.  R_X and R^eps_X are in that
+    normalization, with q the field's q (1 classically).  The gl_n
+    closed-form R has q on V_a (x) V_a and PR eigenvalues q and -q^-1, so
+    R/q is checked, with parameter q^-2."""
+    op = _quantum_catalog(args)
+    q = op.ctx.q_power(1)
+    if args.name == "gl-closed-form" and args.part == "R":
+        return op * (1 / q), q ** -2
+    return op, q
+
+
 def cmd_verify(args):
     reports = []
     if args.equation == "qdybe":
         op = _quantum_catalog(args)
         reports.append(qdybe_residual(op, name=args.name))
     elif args.equation == "hecke":
-        op = _quantum_catalog(args)
-        reports.append(hecke_check(op, op.ctx.q_power(1), name=args.name))
+        reports.append(hecke_check(*_hecke_operand(args), name=args.name))
     elif args.equation == "cdybe":
         rmat = _classical_catalog(args)
         reports.append(cdybe_residual(rmat))
@@ -204,8 +216,8 @@ def cmd_verify(args):
         rmat = _classical_catalog(args)
         reports.append(unitarity_check(rmat))
     elif args.equation == "hecke-rep":
-        op = _quantum_catalog(args)
-        _, rep = dynamical_hecke_rep(op, args.p, op.ctx.q_power(1), name=args.name)
+        op, q = _hecke_operand(args)
+        _, rep = dynamical_hecke_rep(op, args.p, q, name=args.name)
         reports.append(rep)
     else:
         raise argparse.ArgumentTypeError(f"unknown equation {args.equation}")
@@ -213,14 +225,6 @@ def cmd_verify(args):
                "reports": [serialize.report_json(r) for r in reports]}
     _emit(args, payload)
     return EXIT_OK if all(r.exact_zero for r in reports) else EXIT_CHECK_FAILED
-
-
-def _suite_case(case):
-    kind, n, subset = case
-    op = (quantum_R_X if kind == "R-X" else quantum_R_eps_X)(n, subset)
-    ok = qdybe_residual(op).exact_zero and \
-        hecke_check(op, op.ctx.q_power(1)).exact_zero
-    return (kind, n, tuple(subset), ok)
 
 
 def cmd_verify_suite(args):
@@ -242,14 +246,14 @@ def cmd_verify_suite(args):
     if workers > 1:
         import multiprocessing
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_suite_case, cases)
+            results = pool.map(family_check, cases)
     else:
-        results = [_suite_case(c) for c in cases]
+        results = [family_check(c) for c in cases]
     payload = {"schema": serialize.SCHEMA, "kind": "verification-suite",
-               "results": [{"family": k, "n": n, "X": list(x), "pass": ok}
-                           for (k, n, x, ok) in results]}
+               "results": [{"family": k, "n": n, "X": x, "pass": ok}
+                           for (k, n, x), ok in zip(cases, results)]}
     _emit(args, payload)
-    return EXIT_OK if all(ok for (_, _, _, ok) in results) else EXIT_CHECK_FAILED
+    return EXIT_OK if all(results) else EXIT_CHECK_FAILED
 
 
 def cmd_limit(args):
@@ -337,9 +341,7 @@ def cmd_macdonald(args):
         if min(args.order, args.biorder) < 0:
             raise PreconditionError(f"--order {args.order} --biorder {args.biorder} compares "
                                     "no coefficient; need both >= 0")
-        _, ok1 = mr_residual(args.depth, 2 * args.order)
-        _, ok2 = mr_residual(args.depth, 2 * args.order, dual_side=True)
-        bad = symmetry_residuals(args.depth, args.biorder)
+        ok1, ok2, bad = trace_residuals(args.depth, args.order, args.biorder)
         payload = {"schema": serialize.SCHEMA, "kind": "trace-residuals",
                    "macdonald_ruijsenaars": ok1, "dual": ok2,
                    "symmetry_mismatches": [list(b) for b in bad]}

@@ -300,7 +300,7 @@ def universal_sl2_fusion(depth, quantum=False):
     q = aux.q_power(1)
     d, factorial_q = [aux.one], aux.one
     for k in range(1, depth + 1):
-        factorial_q = factorial_q * (q ** k - q ** -k) / (q - 1 / q)
+        factorial_q = factorial_q * aux.q_number(k)
         d.append(q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / factorial_q)
     gs = [aux.one]
     for n in range(1, depth + 1):
@@ -396,9 +396,9 @@ def shapovalov_vs_fusion(datum, depth, quantum=False):
         nu = (Fraction(2 * j),)
         gram = sl.gram(nu)
         s_j = gram[0, 0]
-        inv_side = ctx.from_fraction(Fraction((-1) ** j)) / s_j
-        if quantum:
-            inv_side = inv_side * ctx.t(0) ** (-j) * ctx.q_power(j * (j - 1))
+        # the K-twist q^(-(lambda, nu) + j(j-1)), which is 1 classically
+        twist = datum.q_lambda_pairing(ctx, nu, factor=-1) * ctx.q_power(j * (j - 1))
+        inv_side = ctx.from_fraction(Fraction((-1) ** j)) / s_j * twist
         # universal side: h-eigenvalue of e^j x^-_{-lambda} is -lambda + 2j
         uni = universal_sl2_at_zero(terms[j], ctx, 2 * j, quantum)
         residuals.append(uni - inv_side)

@@ -616,6 +616,14 @@ def mr_residual(depth, order, dual_side=False):
     return resid, resid.is_zero_through(order)
 
 
+def trace_residuals(depth, order, biorder):
+    """Theorems 9.1 and 9.2 through zeta order 2 * order, and Theorem 9.3
+    through the bi-order: (9.1 holds, 9.2 holds, symmetry mismatches)."""
+    _, ok1 = mr_residual(depth, 2 * order)
+    _, ok2 = mr_residual(depth, 2 * order, dual_side=True)
+    return ok1, ok2, symmetry_residuals(depth, biorder)
+
+
 def symmetry_residuals(depth, biorder):
     """Theorem 9.3: F_V(lambda,mu) = F*_{V*}(mu,lambda) through bi-order.
 

@@ -61,7 +61,7 @@ class WeightModule:
                  provenance=("other",)):
         self.datum = datum
         self.quantum = quantum
-        self.ctx = datum.quantum_field() if quantum else datum.classical_field()
+        self.ctx = datum.field(quantum)
         self.labels = list(labels)
         self.weights = [tuple(Fraction(x) for x in w) for w in weights]
         self.dim = len(self.labels)
@@ -89,32 +89,11 @@ class WeightModule:
             out.set(j, j, self.k_power(i, j, inverse))
         return out
 
-    def cartan_diag(self, diag):
-        """Classical action of a diagonal Cartan element."""
-        out = Mat(self.dim, self.dim, self.ctx)
-        for j in range(self.dim):
-            out.set(j, j, self.ctx.from_fraction(
-                self.datum.weight_of_diag(diag, self.weights[j])))
-        return out
-
     def weight_blocks(self):
         blocks = {}
         for j, w in enumerate(self.weights):
             blocks.setdefault(w, []).append(j)
         return blocks
-
-    # classical action of an arbitrary Lie algebra element ------------------
-
-    def classical_action(self, x):
-        if self.quantum:
-            raise ModuleError("classical_action on a quantum module")
-        pos, diag, neg = self.datum.decompose(x)
-        out = self.cartan_diag(diag)
-        for alpha, c in pos.items():
-            out = out + self.root_action(alpha, False) * self.ctx.from_fraction(c)
-        for alpha, c in neg.items():
-            out = out + self.root_action(alpha, True) * self.ctx.from_fraction(c)
-        return out
 
     def root_action(self, alpha, negative):
         key = (tuple(alpha), negative)
@@ -149,7 +128,7 @@ class WeightModule:
 
 def vector_rep(datum, quantum=False):
     """The n-dimensional defining module (or sl2's C^2)."""
-    ctx = datum.quantum_field() if quantum else datum.classical_field()
+    ctx = datum.field(quantum)
     if datum.sl2_model:
         labels = ["v+", "v-"]
         weights = [(Fraction(1),), (Fraction(-1),)]
@@ -171,7 +150,7 @@ def vector_rep(datum, quantum=False):
 def trivial_rep(datum, quantum=False):
     zero = datum.zero_weight
     d = 1
-    ctx = datum.quantum_field() if quantum else datum.classical_field()
+    ctx = datum.field(quantum)
     mats = {i: Mat(d, d, ctx) for i in range(datum.rank)}
     return WeightModule(datum, quantum, ["1"], [zero], dict(mats), dict(mats),
                         provenance=("trivial",))
@@ -346,7 +325,7 @@ def _power_projector_rows(module, power, anti):
     n = module.dim
     pr = permutation_matrix(n, n, ctx) * vector_R_matrix(module.datum, ctx)
     q, qinv = ctx.q_power(1), ctx.q_power(-1)
-    denom = q + qinv
+    denom = ctx.q_number(2)
     # projector onto the PR eigenvalue q (symmetric part): (PR + q^{-1})/(q+q^{-1})
     sym = (pr + Mat.identity(n * n, ctx) * qinv) * (ctx.one / denom)
     # projector onto eigenvalue -q^{-1} (antisymmetric part): (q - PR)/(q+q^{-1})
@@ -419,7 +398,9 @@ def ext_power(module, r):
 
 
 def check_module_relations(m):
-    """Defining relations as exact matrix identities; raises on failure."""
+    """Defining relations as exact matrix identities; raises on failure.
+    [e_i, f_i] acts on basis vector b by [(alpha_i, wt_b)]_q, which is
+    (alpha_i, wt_b) classically."""
     datum, ctx = m.datum, m.ctx
     for i in range(datum.rank):
         for j in range(datum.rank):
@@ -428,17 +409,13 @@ def check_module_relations(m):
                 if not comm.is_zero:
                     raise ModuleError(f"[e_{i}, f_{j}] != 0")
                 continue
-            if m.quantum:
-                target = Mat(m.dim, m.dim, ctx)
-                q_diff = ctx.q_power(1) - ctx.q_power(-1)
-                for b in range(m.dim):
-                    target.set(b, b, (m.k_power(i, b) - m.k_power(i, b, True)) / q_diff)
-            else:
-                target = m.cartan_diag([c for c in _coroot_diag(datum, i)])
+            target = Mat(m.dim, m.dim, ctx)
+            for b in range(m.dim):
+                target.set(b, b, ctx.q_number(datum.pairing(datum.simple_roots[i], m.weights[b])))
             if not (comm - target).is_zero:
                 raise ModuleError(f"[e_{i}, f_{i}] relation fails")
     # Serre relations on generators, with [2]_q = q + q^-1 (2 classically)
-    two = ctx.q_power(1) + ctx.q_power(-1)
+    two = ctx.q_number(2)
     for i in range(datum.rank):
         for j in range(datum.rank):
             if i == j:
@@ -455,12 +432,3 @@ def check_module_relations(m):
                     if not lhs.is_zero:
                         raise ModuleError("adjacent Serre relation fails")
     return True
-
-
-def _coroot_diag(datum, i):
-    h = datum.coroot_h(i)
-    diag = [Fraction(0)] * datum.n
-    for (a, b), v in h.items():
-        if a == b:
-            diag[a] += v
-    return diag

@@ -5,7 +5,9 @@ trace-zero sublattice) lives in epsilon-coordinates: weights are n-tuples,
 the invariant form is the standard dot product, and the Lie algebra is
 concrete n-by-n matrices E_ab.  sl2 gets a dedicated single-coordinate model
 lambda = lambda(h) so that the textbook sl2 formulas (denominators like
-lambda + 1) come out literally.
+lambda + 1) come out literally.  `RootDatum.form_dual` is the one place the
+two models differ in the form: every pairing, (lambda, mu) and
+q^(lambda, mu) reads it.
 
 Lie algebra elements are sparse rational matrices: dicts {(a, b): Fraction}.
 """
@@ -16,7 +18,7 @@ from fractions import Fraction
 from itertools import accumulate, product
 from math import prod
 
-from .scalars import UnsupportedShiftError, classical_ctx, quantum_ctx
+from .scalars import classical_ctx, quantum_ctx
 
 
 class RootDatumError(Exception):
@@ -114,16 +116,27 @@ class RootDatum:
             self.rho = tuple(Fraction(n + 1 - 2 * (a + 1), 2) for a in range(n))
         self.rank = len(self.simple_roots)
         self.zero_weight = (Fraction(0),) * self.n_coords
+        self._half = {}
 
     def __repr__(self):
         return f"RootDatum({self.flavor}{self.n})"
 
     # -- form and coordinates ------------------------------------------------
 
+    def form_dual(self, mu):
+        """G mu, the coordinates of the functional (mu, .) on weight
+        coordinates: mu / 2 in the sl2 model, where (h, h) = 2, and mu
+        itself in epsilon coordinates, where the form is the dot product.
+        The sl2 images are cached, so the hot `pairing` builds no tuple."""
+        if not self.sl2_model:
+            return mu
+        hit = self._half.get(mu)
+        if hit is None:
+            hit = self._half[mu] = tuple(Fraction(x) / 2 for x in mu)
+        return hit
+
     def pairing(self, mu, nu):
-        if self.sl2_model:
-            return Fraction(mu[0]) * Fraction(nu[0]) / 2
-        return sum(Fraction(a) * Fraction(b) for a, b in zip(mu, nu))
+        return sum(a * Fraction(b) for a, b in zip(self.form_dual(mu), nu))
 
     def simple_coefficients(self, nu):
         """Coefficients of nu in the simple roots; raises off the span of the
@@ -159,16 +172,6 @@ class RootDatum:
     def _eps(self, a):
         return tuple(Fraction(1 if k == a else 0) for k in range(self.n))
 
-    def simple_e(self, i):
-        return self.root_vector(self.simple_roots[i])
-
-    def simple_f(self, i):
-        return self.root_vector(self.simple_roots[i], negative=True)
-
-    def coroot_h(self, i):
-        """[e_i, f_i], acting on a weight by (weight, alpha_i)."""
-        return mat_bracket(self.simple_e(i), self.simple_f(i))
-
     def cartan_pairs(self):
         """(h_j, coordinate index) pairs with sum_j h_j (x) d/dl_j equal to the
         invariant tensor sum_i x_i (x) d/dx^i over any orthonormal basis."""
@@ -186,64 +189,25 @@ class RootDatum:
         return [(mat_E(a, b), mat_E(b, a), Fraction(1))
                 for a in range(self.n) for b in range(self.n)]
 
-    def decompose(self, x):
-        """Split a matrix into (positive-root part, cartan diag, negative part).
-
-        Root parts come back as {root (as tuple): Fraction coefficient}."""
-        pos, neg = {}, {}
-        diag = [Fraction(0)] * self.n
-        for (a, b), v in x.items():
-            if a == b:
-                diag[a] += v
-            elif a < b:
-                pos[weight_sub(self._eps(a), self._eps(b))] = v
-            else:
-                neg[weight_sub(self._eps(b), self._eps(a))] = v
-        if self.sl2_model:
-            pos = {(Fraction(2),): v for _, v in pos.items()}
-            neg = {(Fraction(2),): v for _, v in neg.items()}
-        return pos, diag, neg
-
-    def weight_of_diag(self, diag, weight):
-        """Value of a diagonal Cartan element on a concrete weight."""
-        if self.sl2_model:
-            return Fraction(diag[0]) * Fraction(weight[0])
-        return sum(Fraction(d) * Fraction(w) for d, w in zip(diag, weight))
-
     # -- scalar builders -------------------------------------------------------
 
-    def classical_field(self):
-        return classical_ctx(self.n_coords)
-
-    def quantum_field(self):
-        return quantum_ctx(self.n_coords)
+    def field(self, quantum):
+        """The coefficient field of the classical or the quantum objects."""
+        return (quantum_ctx if quantum else classical_ctx)(self.n_coords)
 
     def lambda_pairing(self, ctx, mu):
         """(lambda, mu) as a classical Scalar in ctx."""
-        if self.sl2_model:
-            return ctx.lam(0) * (Fraction(mu[0]) / 2)
         out = ctx.zero
-        for a, m in enumerate(mu):
+        for a, m in enumerate(self.form_dual(mu)):
             if m:
                 out = out + ctx.lam(a) * Fraction(m)
         return out
 
     def q_lambda_pairing(self, ctx, mu, factor=1):
-        """q^(factor * (lambda, mu)) as a quantum Scalar (a t-monomial)."""
-        out = ctx.one
-        factor = Fraction(factor)
-        if self.sl2_model:
-            k = factor * Fraction(mu[0]) / 2  # (lambda, mu) = l * mu / 2
-            if k.denominator != 1:
-                raise UnsupportedShiftError("q-power not Laurent in t")
-            return ctx.t(0) ** int(k)
-        for a, m in enumerate(mu):
-            k = factor * Fraction(m)
-            if k.denominator != 1:
-                raise UnsupportedShiftError("q-power not Laurent in t")
-            if k:
-                out = out * ctx.t(a) ** int(k)
-        return out
+        """q^(factor * (lambda, mu)) in ctx: a t-monomial quantumly, one
+        classically (`Context.q_lambda`)."""
+        return ctx.q_lambda([factor * m for m in self.form_dual(mu)])
+
 
 def build_type_A(n, flavor="gl"):
     """Construct the type-A root datum for gl_n or sl_n (n >= 2)."""

@@ -7,8 +7,9 @@ coefficients (rational constants enter as integer fractions).
 * classical mode -- rational functions in the lambda-coordinates l1..ln;
 * quantum mode   -- rational functions in s and t1..tn, encoding
   s = q^(1/2) and t_i = q^(lambda_i), so that half-integer lambda shifts
-  stay Laurent in s; ``Context.q_power`` forms every q^x, and gives 1 on
-  a classical field (the q = 1 case);
+  stay Laurent in s; ``Context.q_power`` forms every q^x,
+  ``Context.q_lambda`` every q^(lambda, mu) and ``Context.q_number`` every
+  [x]_q, and on a classical field they give their q = 1 values 1, 1 and x;
 * symbol mode    -- rational functions in e, w1..wn, l1..ln, encoding the
   deformation coupling epsilon and the exponentials w_a = exp(-e*l_a/2).
   This field hosts the coefficients of gamma-series (the step-gamma limit)
@@ -131,18 +132,45 @@ class Context:
     def w(self, i):
         return self.gen(f"w{i + 1}")
 
+    def _has_q(self):
+        """True on a quantum field; False on a classical one, whose objects
+        are the q = 1 case.  The symbol field has no q."""
+        if self.mode == SYMBOL:
+            raise ScalarError("the symbol field has no q-powers")
+        return self.mode == QUANTUM
+
     def q_power(self, x):
         """q^x as a Scalar: s^(2x) on a quantum field, where 2x must be an
-        integer, and one on a classical field, whose objects are the q = 1
-        case.  The symbol field has no q."""
-        if self.mode == CLASSICAL:
+        integer, and one on a classical field."""
+        if not self._has_q():
             return self.one
-        if self.mode != QUANTUM:
-            raise ScalarError("the symbol field has no q-powers")
         k = 2 * Fraction(x)
         if k.denominator != 1:
             raise UnsupportedShiftError(f"q^{x} is not Laurent in s = q^(1/2)")
         return self.s ** int(k)
+
+    def q_lambda(self, exponents):
+        """q^(lambda, mu) for the form-dual coordinates k of mu
+        (`RootDatum.form_dual`): the t-monomial prod t_a^(k_a) on a quantum
+        field, where t_a = q^(lambda_a) and every k_a must be an integer, and
+        one on a classical field."""
+        if not self._has_q():
+            return self.one
+        out = self.one
+        for a, k in enumerate(exponents):
+            k = Fraction(k)
+            if k.denominator != 1:
+                raise UnsupportedShiftError(f"q^({k} l{a + 1}) is not Laurent in t{a + 1}")
+            if k:
+                out = out * self.t(a) ** int(k)
+        return out
+
+    def q_number(self, x):
+        """[x]_q = (q^x - q^-x)/(q - q^-1) on a quantum field, and x on a
+        classical one."""
+        if not self._has_q():
+            return self.from_fraction(x)
+        return (self.q_power(x) - self.q_power(-x)) / (self.q_power(1) - self.q_power(-1))
 
     def from_fraction(self, value):
         value = Fraction(value)
@@ -519,13 +547,13 @@ class Scalar:
         return self._substitute(self.ctx, mapping, "substitution")
 
     def _substitute(self, tgt, mapping, what):
-        vals = [tgt(mapping[name]).f if name in mapping else tgt._gens[name]
+        vals = [tgt(mapping[name]) if name in mapping else tgt.gen(name)
                 for name in self.ctx.var_names]
-        num = _eval_poly(tgt, self.f.numer, vals)
-        den = _eval_poly(tgt, self.f.denom, vals)
-        if not den:
+        num, den = (_graded_values(tgt, poly, lambda m: 0, vals).get(0, tgt.zero)
+                    for poly in (self.f.numer, self.f.denom))
+        if den.is_zero:
             raise ZeroDivisionError(f"{what} produced a zero denominator")
-        return Scalar(tgt, num / den)
+        return num / den
 
     def monomial_subs(self, mapping):
         """``subs`` for a mapping that sends generators (by name) to Laurent
@@ -706,20 +734,6 @@ def _taylor_shift(ctx, f, shifts):
     content = gcd(*num.values(), *den.values())
     return f.raw_new(f.numer.new({m: c // content for m, c in num.items()}),
                      f.denom.new({m: c // content for m, c in den.items()}))
-
-
-def _eval_poly(tgt, poly, vals):
-    """Evaluate a PolyElement at field-element values of the context tgt
-    (monomial by monomial); the result lies in tgt's field."""
-    fld = tgt.field
-    out = fld.zero
-    for monom, coeff in poly.terms():
-        term = fld(coeff)
-        for g, e in zip(vals, monom):
-            if e:
-                term = term * g ** e
-        out = out + term
-    return out
 
 
 def _graded_values(tgt, poly, grade, vals):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .catalog import ClassicalRMatrix, wedge
+from .catalog import ClassicalRMatrix, quantum_R_X, quantum_R_eps_X, wedge
 from .fusion import DynOp, fusion_exchange_construction, place_in_slots
 from .linalg import Mat
 from .reps import TensorIndex, permutation_matrix, tensor
@@ -141,6 +141,14 @@ def hecke_check(rop, q, name="R"):
         return diagonal
     quad = m1 * (pr.mat + ident * q)
     return _report("hecke", name, _matrix_pairs(quad, idx))
+
+
+def family_check(case):
+    """QDYBE and Hecke for one case (family, n, X) of R_X ("R-X") or
+    R^eps_X ("R-eps-X"), X a 1-based subset of 1..n: True iff both hold."""
+    family, n, subset = case
+    op = (quantum_R_X if family == "R-X" else quantum_R_eps_X)(n, subset)
+    return qdybe_residual(op).exact_zero and hecke_check(op, op.ctx.q_power(1)).exact_zero
 
 
 def unitarity_check(rmat, eps=None, name=None):

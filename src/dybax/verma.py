@@ -10,10 +10,11 @@ One engine serves both flavours.  A vector is a sparse combination of words
 in the simple f_i (word[0] outermost), and depth counts letters.  e_i acts
 by e_i f_j w = f_j e_i w + delta_ij [e_i, f_i] w, so a flavour only supplies
 the scalar by which [e_i, f_i] acts on a weight vector (h_i classically,
-(K_i - K_i^-1)/(q - q^-1) quantumly) and the K_i^-1 factor of the coproduct
-(1 classically).  Each weight space is spanned by the words of its Kostant
-partitions (`VermaSlice.weight_basis`), and coordinates in that basis come
-from one solve of the Shapovalov (contravariant) Gram system per block.
+(K_i - K_i^-1)/(q - q^-1) quantumly).  The K_i^-1 factor of the coproduct
+is q^-(weight, alpha_i) for both, 1 on the classical field.  Each weight
+space is spanned by the words of its Kostant partitions
+(`VermaSlice.weight_basis`), and coordinates in that basis come from one
+solve of the Shapovalov (contravariant) Gram system per block.
 
 The intertwiner solve keeps the tensor structure of the singular condition:
 at each weight drop the unknown block is (words) x (aux weight space), the
@@ -150,7 +151,7 @@ class VermaSlice:
     """Depth-truncated Verma module on words in the simple f_i.
 
     A flavour subclass supplies `cartan(i, drop)`, the scalar of [e_i, f_i]
-    on weight lambda + offset - drop, and `k_inverse(i, drop)`, the K_i^-1
+    on weight lambda + offset - drop; `k_inverse(i, drop)` is the K_i^-1
     factor there that the coproduct puts on the slice side.
     """
 
@@ -158,7 +159,7 @@ class VermaSlice:
 
     def __init__(self, datum, offset, depth):
         self.datum = datum
-        self.ctx = datum.quantum_field() if self.quantum else datum.classical_field()
+        self.ctx = datum.field(self.quantum)
         self.offset = tuple(Fraction(x) for x in offset)
         self.depth = depth
         self._e_cache = {}
@@ -242,6 +243,14 @@ class VermaSlice:
         self._basis_cache[nu] = out
         return out
 
+    def k_inverse(self, i, drop):
+        """K_i^-1 on weight lambda + offset - drop:
+        q^-(lambda + offset - drop, alpha_i), 1 classically."""
+        datum, ctx = self.datum, self.ctx
+        alpha = datum.simple_roots[i]
+        return datum.q_lambda_pairing(ctx, alpha, factor=-1) * ctx.q_power(
+            -datum.pairing(alpha, weight_sub(self.offset, drop)))
+
     def coords(self, nu, vecs):
         """Coordinates of weight-nu sparse vectors in weight_basis(nu): one
         solve of the Gram system for the block of right-hand sides
@@ -270,9 +279,6 @@ class VermaSliceC(VermaSlice):
         return self.datum.lambda_pairing(self.ctx, alpha) + self.ctx.from_fraction(
             self.datum.pairing(alpha, weight_sub(self.offset, drop)))
 
-    def k_inverse(self, i, drop):
-        return self.ctx.one
-
     gram = shapovalov_gram
     coords = VermaSlice.coords
 
@@ -285,13 +291,6 @@ class VermaSliceQ(VermaSlice):
     def cartan(self, i, drop):
         kinv = self.k_inverse(i, drop)
         return (1 / kinv - kinv) / (self.ctx.q_power(1) - self.ctx.q_power(-1))
-
-    def k_inverse(self, i, drop):
-        """K_i^-1 on weight lambda + offset - drop, q^-(lambda + offset - drop, alpha_i)."""
-        datum, ctx = self.datum, self.ctx
-        alpha = datum.simple_roots[i]
-        return datum.q_lambda_pairing(ctx, alpha, factor=-1) * ctx.q_power(
-            -datum.pairing(alpha, weight_sub(self.offset, drop)))
 
     gram = shapovalov_gram
     coords = VermaSlice.coords

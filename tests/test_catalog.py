@@ -2,6 +2,7 @@ import pytest
 
 from dybax.catalog import (
     BDTriple,
+    CatalogError,
     InvalidSubalgebraError,
     InvalidTripleError,
     appendixA_r,
@@ -14,7 +15,7 @@ from dybax.catalog import (
     quantum_R_eps_X,
 )
 from dybax.fusion import abrr_fusion, exchange_matrix, fusion_exchange_construction
-from dybax.reps import vector_rep
+from dybax.reps import sym_power, vector_rep
 from dybax.rootdata import build_type_A
 from dybax.verify import cdybe_residual, hecke_check, qdybe_residual, unitarity_check
 
@@ -229,3 +230,14 @@ def test_admissibility_checks():
     # l not orthogonal to tau(alpha) - alpha
     with pytest.raises(InvalidTripleError):
         BDTriple(datum, [0], [1], {0: 1}, [(1, 0, 0)])
+
+
+def test_classical_r_evaluates_only_on_the_vector_representation():
+    datum = build_type_A(2, "gl")
+    v = vector_rep(datum)
+    r = basic_rational_r(datum)
+    assert r.evaluate(v, v).mat.nrows == 4
+    with pytest.raises(CatalogError):
+        r.evaluate(sym_power(v, 2), v)
+    with pytest.raises(CatalogError):
+        r.evaluate(v, vector_rep(datum, quantum=True))

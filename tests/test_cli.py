@@ -153,6 +153,17 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["kind"] == "root-datum"
 
 
+@pytest.mark.parametrize("equation", ["hecke", "hecke-rep"])
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_verify_hecke_on_the_quantum_closed_form(capsys, equation, n):
+    # the gl_n closed-form R has PR eigenvalues q and -q^-1, so R/q is of
+    # Hecke type with parameter q^-2
+    code, out = run_cli(capsys, ["verify", equation, "--catalog", "gl-closed-form",
+                                 "--n", n, "--quantum"])
+    assert code == 0
+    assert json.loads(out)["reports"][0]["exact_zero"] is True
+
+
 def test_acceptance_rejects_unknown_criterion(capsys):
     code, out = run_cli(capsys, ["acceptance", "--criterion", "99"])
     assert code == 2 and out == ""  # runs nothing, so it must not pass

@@ -1,7 +1,11 @@
 from fractions import Fraction
 
+import pytest
+
 from dybax.linalg import Mat
 from dybax.reps import (
+    ModuleError,
+    WeightModule,
     check_module_relations,
     constant_R,
     dual,
@@ -142,6 +146,21 @@ def test_constant_R_on_sym_restriction():
 def test_classical_action_of_nonsimple_root():
     datum = build_type_A(3, "gl")
     v = vector_rep(datum)
-    x = datum.root_vector((Fraction(1), Fraction(0), Fraction(-1)))
-    m = v.classical_action(x)  # E_13: v3 -> v1
-    assert m[0, 2] == v.ctx.one
+    alpha = (Fraction(1), Fraction(0), Fraction(-1))
+    e13 = v.root_action(alpha, negative=False)  # E_13: v3 -> v1
+    e31 = v.root_action(alpha, negative=True)   # E_31: v1 -> v3
+    assert list(e13.entries()) == [(0, 2, v.ctx.one)]
+    assert list(e31.entries()) == [(2, 0, v.ctx.one)]
+
+
+def test_module_relations_catch_a_wrong_classical_cartan_action():
+    # e_i, f_i of the gl3 vector representation on doubled weights: [e_i, f_i]
+    # still acts by (alpha_i, wt), which now differs from the weights' value
+    datum = build_type_A(3, "gl")
+    v = vector_rep(datum)
+    doubled = [tuple(2 * x for x in w) for w in v.weights]
+    wrong = WeightModule(datum, False, v.labels, doubled,
+                         {i: v.e(i) for i in range(datum.rank)},
+                         {i: v.f(i) for i in range(datum.rank)})
+    with pytest.raises(ModuleError, match=r"\[e_0, f_0\] relation fails"):
+        check_module_relations(wrong)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from dybax.linalg import Mat
+from dybax.catalog import ClassicalRMatrix
 from dybax.reps import tensor, vector_rep
 from dybax.rootdata import RootDatumError, build_type_A
 
@@ -56,17 +56,8 @@ def test_casimir_invariance_on_tensor_square():
     d = build_type_A(3, "gl")
     v = vector_rep(d)
     vv = tensor(v, v)
-    ctx = vv.ctx
-    omega = Mat(vv.dim, vv.dim, ctx)
-    from dybax.reps import TensorIndex
-    idx = TensorIndex([v.dim, v.dim])
-    for (a, b, c) in d.casimir():
-        ma = v.classical_action(a)
-        mb = v.classical_action(b)
-        for (r1, c1, x1) in ma.entries():
-            for (r2, c2, x2) in mb.entries():
-                omega.add_to(idx.flat((r1, r2)), idx.flat((c1, c2)),
-                             x1 * x2 * ctx.from_fraction(c))
+    omega = ClassicalRMatrix(d, v.ctx, d.casimir(), 0).evaluate(v, v).mat
+    assert not omega.is_zero
     for i in range(d.rank):
         for kind in ("e", "f"):
             g = vv.e(i) if kind == "e" else vv.f(i)

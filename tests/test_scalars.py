@@ -263,6 +263,29 @@ def test_q_power_is_one_classically_and_undefined_on_symbols():
         symbol_ctx(1).q_power(1)
 
 
+def test_q_number_is_the_q_integer_and_x_classically():
+    ctx = quantum_ctx(1)
+    q = ctx.q_power(1)
+    assert ctx.q_number(2) == q + 1 / q
+    assert ctx.q_number(3) == q ** 2 + 1 + q ** -2
+    assert ctx.q_number(-3) == -ctx.q_number(3)
+    assert ctx.q_number(Fraction(1, 2)) == 1 / (ctx.s + 1 / ctx.s)
+    assert classical_ctx(2).q_number(Fraction(5, 3)) == classical_ctx(2).from_fraction(Fraction(5, 3))
+    with pytest.raises(ScalarError):
+        symbol_ctx(1).q_number(2)
+
+
+def test_q_lambda_is_a_t_monomial_and_one_classically():
+    ctx = quantum_ctx(3)
+    assert ctx.q_lambda([2, 0, -1]) == ctx.t(0) ** 2 / ctx.t(2)
+    assert ctx.q_lambda([0, 0, 0]) == ctx.one
+    assert classical_ctx(3).q_lambda([Fraction(1, 2), 1, 0]) == classical_ctx(3).one
+    with pytest.raises(UnsupportedShiftError):
+        ctx.q_lambda([Fraction(1, 2), 0, 0])
+    with pytest.raises(ScalarError):
+        symbol_ctx(3).q_lambda([1, 0, 0])
+
+
 def test_classical_k_diag_is_the_identity():
     # reps.tensor builds the classical coproduct with K = 1 through k_diag
     module = sym_power(vector_rep(build_type_A(3, "gl")), 2)
