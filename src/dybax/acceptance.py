@@ -45,6 +45,7 @@ from .verify import (
     cdybe_residual,
     cocycle_residual,
     dynamical_hecke_rep,
+    family_cases,
     family_check,
     gauge_classical,
     gauge_quantum,
@@ -147,14 +148,9 @@ def criterion_4():
 
 def criterion_5():
     """Classification families satisfy their equations (n <= 4, all X)."""
+    if not all(family_check(case) for case in family_cases(4)):
+        return False
     ok = True
-    for n in (2, 3, 4):
-        for mask in range(1 << n):
-            subset = [i + 1 for i in range(n) if mask >> i & 1]
-            for family in ("R-X", "R-eps-X"):
-                ok = ok and family_check((family, n, subset))
-            if not ok:
-                return False
     for n in (2, 3):
         datum = build_type_A(n, "gl")
         classical = [basic_rational_r(datum), basic_trig_r(datum)]

@@ -21,6 +21,7 @@ from .reps import hecke_matrix, vector_rep
 from .rootdata import (
     add_tensor,
     build_type_A,
+    mat_add,
     mat_bracket,
     weight_add,
     weight_neg,
@@ -103,11 +104,6 @@ def _root_wedge(datum, alpha, c):
     return wedge(datum.root_vector(alpha), datum.root_vector(alpha, negative=True), c)
 
 
-def _dot(a, b):
-    """The invariant form on rational vectors in epsilon coordinates."""
-    return sum(Fraction(x) * Fraction(y) for x, y in zip(a, b))
-
-
 def _exp_monomial(ctx, kappas, error):
     """prod_a w_a^(-2 kappa_a) in the w-symbols of ctx; raises `error`
     unless every exponent is an integer."""
@@ -156,7 +152,9 @@ def classical_r_zero_coupling(datum, roots):
     for r in roots:
         t = tuple(Fraction(x) for x in r)
         if t not in positive:
-            raise InvalidSubalgebraError(f"{r} is not a positive root")
+            why = (f"has {len(t)} entries, not {datum.n_coords}"
+                   if len(t) != datum.n_coords else "is not a positive root")
+            raise InvalidSubalgebraError(f"root ({','.join(map(str, t))}) {why}")
         chosen.append(t)
     chosen_set = set(chosen)
     for a in chosen:
@@ -228,7 +226,7 @@ class BDTriple:
             diff = weight_sub(datum.simple_roots[self.tau[i]],
                               datum.simple_roots[i])
             for x in self.l_basis:
-                if _dot(diff, x) != 0:
+                if datum.pairing(diff, x) != 0:
                     raise InvalidTripleError(
                         "tau(alpha) - alpha is not orthogonal to l")
         # cycle sums must lie in l (span check over Q)
@@ -310,14 +308,13 @@ def _orthocomplement(datum, l_basis):
     return [tuple(v) for v in kernel_basis(RATIONALS, rows, datum.n_coords)]
 
 
-def _inverse_gram(vectors):
-    """Inverse Gram matrix of rational vectors under the invariant form (the
-    dot product in epsilon coordinates); ZeroDivisionError if they are
-    linearly dependent."""
+def _inverse_gram(datum, vectors):
+    """Inverse Gram matrix of rational weight vectors under the invariant
+    form; ZeroDivisionError if they are linearly dependent."""
     d = len(vectors)
     rows = []
     for i, a in enumerate(vectors):
-        row = {j: g for j, b in enumerate(vectors) if (g := _dot(a, b))}
+        row = {j: g for j, b in enumerate(vectors) if (g := datum.pairing(a, b))}
         row[d + i] = Fraction(1)
         rows.append(row)
     pivots, _ = rref(rows, d)
@@ -343,15 +340,15 @@ def appendixA_r(triple):
         raise InvalidTripleError("l must be nonzero (constant r-matrices are "
                                  "out of scope)")
     try:
-        ginv = _inverse_gram(l_basis)
+        ginv = _inverse_gram(datum, l_basis)
     except ZeroDivisionError:
         raise InvalidTripleError("the form restricted to l is degenerate") from None
     ctx = symbol_ctx(dim_l)
     cartan_pairs = []
     for j in range(dim_l):
-        coords = [sum(ginv[j][i] * Fraction(l_basis[i][a]) for i in range(dim_l))
-                  for a in range(datum.n_coords)]
-        cartan_pairs.append((_diag_matrix(coords), j))
+        coords = tuple(sum(ginv[j][i] * l_basis[i][a] for i in range(dim_l))
+                       for a in range(datum.n_coords))
+        cartan_pairs.append((_cartan_element(datum, coords), j))
     terms = [(a, b, c / 2) for (a, b, c) in datum.casimir()]
     # + 1/2 sum e_alpha wedge f_alpha
     for alpha in datum.positive_roots:
@@ -362,7 +359,7 @@ def appendixA_r(triple):
         if not support or any(i not in triple.tau for i in support):
             continue
         e_m = datum.root_vector(alpha, negative=True)
-        u = _exp_monomial(ctx, [_dot(alpha, b) for b in l_basis],
+        u = _exp_monomial(ctx, [datum.pairing(alpha, b) for b in l_basis],
                           InvalidTripleError("non-integral exponential monomial on l"))
         # walk tau^n(e_alpha), accumulating the scalar by which tau acts on
         # root vectors; a return to alpha closes a cycle of length n
@@ -404,7 +401,7 @@ def _solve_r0(triple, ctx):
     d = len(h0)
     if d == 0 or not triple.gamma1:
         return []
-    ginv = _inverse_gram(h0)
+    ginv = _inverse_gram(datum, h0)
     unknowns = [(i, j) for i in range(d) for j in range(i + 1, d)]
     nvars = len(unknowns)
     rows = []
@@ -415,10 +412,10 @@ def _solve_r0(triple, ctx):
         apta = weight_add(alpha, talpha)
         # ((alpha - tau alpha) (x) 1) r0 = 1/2 ((tau alpha + alpha) (x) 1) Omega_h0
         # rhs vector: 1/2 proj_{h0} of t_(alpha+tau alpha)
-        pair_a = [_dot(apta, b) for b in h0]
+        pair_a = [datum.pairing(apta, b) for b in h0]
         rhs_vec = [Fraction(1, 2) * sum(ginv[k][i] * pair_a[k] for k in range(d))
                    for i in range(d)]
-        pair_m = [_dot(amta, b) for b in h0]
+        pair_m = [datum.pairing(amta, b) for b in h0]
         for comp in range(d):
             row = {}
             for k, (i, j) in enumerate(unknowns):
@@ -442,12 +439,18 @@ def _solve_r0(triple, ctx):
         c = sol.get(k)
         if not c:
             continue
-        out += wedge(_diag_matrix(h0[i]), _diag_matrix(h0[j]), Fraction(c))
+        out += wedge(_cartan_element(datum, h0[i]), _cartan_element(datum, h0[j]),
+                     Fraction(c))
     return out
 
 
-def _diag_matrix(coords):
-    return {(a, a): Fraction(c) for a, c in enumerate(coords) if c}
+def _cartan_element(datum, mu):
+    """The element t_mu of h with (t_mu, x) = mu(x): sum_a (G mu)_a h_a over
+    `RootDatum.cartan_pairs`."""
+    out = {}
+    for h, a in datum.cartan_pairs():
+        out = mat_add(out, h, datum.form_dual(mu)[a])
+    return out
 
 
 # -- quantum families --------------------------------------------------------

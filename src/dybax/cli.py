@@ -50,6 +50,7 @@ from .verify import (
     VerifyError,
     cdybe_residual,
     dynamical_hecke_rep,
+    family_cases,
     family_check,
     hecke_check,
     qdybe_residual,
@@ -117,6 +118,8 @@ def _classical_catalog(args):
 
 
 def _quantum_catalog(args):
+    if args.flavor != "gl":
+        raise argparse.ArgumentTypeError(f"--flavor {args.flavor}: {args.name} is a gl_n family")
     if args.name == "R-X":
         return quantum_R_X(args.n, _parse_subset(args.X, args.n))
     if args.name == "R-eps-X":
@@ -231,14 +234,7 @@ def cmd_verify_suite(args):
     """QDYBE + Hecke for every X subset of {1..n}, both quantum families."""
     if args.n < 2:
         raise PreconditionError(f"--n {args.n} checks no family; need n >= 2")
-    cases = []
-    for n in range(2, args.n + 1):
-        subsets = []
-        for mask in range(1 << n):
-            subsets.append([i + 1 for i in range(n) if mask >> i & 1])
-        for subset in subsets:
-            cases.append(("R-X", n, subset))
-            cases.append(("R-eps-X", n, subset))
+    cases = family_cases(args.n)
     text = os.environ.get("DYBAX_WORKERS", "1")
     if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"DYBAX_WORKERS={text!r} is not a positive integer")
@@ -336,11 +332,6 @@ def cmd_macdonald(args):
         _emit(args, payload)
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.action == "trace-residual":
-        if args.depth < 1:
-            raise PreconditionError(f"depth {args.depth} has no trace series; need depth >= 1")
-        if min(args.order, args.biorder) < 0:
-            raise PreconditionError(f"--order {args.order} --biorder {args.biorder} compares "
-                                    "no coefficient; need both >= 0")
         ok1, ok2, bad = trace_residuals(args.depth, args.order, args.biorder)
         payload = {"schema": serialize.SCHEMA, "kind": "trace-residuals",
                    "macdonald_ruijsenaars": ok1, "dual": ok2,

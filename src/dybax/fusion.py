@@ -317,17 +317,8 @@ def universal_sl2_fusion(depth, quantum=False):
 
 def universal_coefficient(g, ctx, lam, h):
     """The universal coefficient g at lambda-argument lam and h-eigenvalue h,
-    both Scalars of ctx: the values themselves classically, q^lam and q^h
-    quantumly."""
-    lam_name = "t1" if g.ctx.mode == QUANTUM else "l1"
-    return g.convert(ctx, {lam_name: lam, "x": h})
-
-
-def h_value(ctx, h):
-    """An h-eigenvalue as a Scalar of ctx: h classically, q^h quantumly."""
-    if ctx.mode != QUANTUM:
-        return ctx.from_fraction(h)
-    return ctx.q_power(h)
+    Scalars of ctx as `Context.coordinate_value` encodes them (q^lam, q^h)."""
+    return g.convert(ctx, [lam], {"x": h})
 
 
 def universal_term(g, module, lam, e_pow):
@@ -336,7 +327,7 @@ def universal_term(g, module, lam, e_pow):
     ctx = module.ctx
     out = Mat(e_pow.nrows, e_pow.ncols, ctx)
     for (r, c, v) in e_pow.entries():
-        h = h_value(ctx, module.weights[r][0])
+        h = ctx.coordinate_value(module.weights[r][0])
         out.set(r, c, universal_coefficient(g, ctx, lam, h) * v)
     return out
 
@@ -344,7 +335,6 @@ def universal_term(g, module, lam, e_pow):
 def evaluate_universal_sl2(terms, m1, m2):
     """Evaluate universal fusion coefficients on a pair of sl2 modules."""
     ctx = m1.ctx
-    lam = ctx.t(0) if m1.quantum else ctx.lam(0)
     out = Mat.identity(m1.dim * m2.dim, ctx)
     f_mat = m1.f(0)
     e_mat = m2.e(0)
@@ -357,23 +347,16 @@ def evaluate_universal_sl2(terms, m1, m2):
         e_pow = e_mat * e_pow
         if f_pow.is_zero or e_pow.is_zero:
             break
-        out = out + kron(f_pow, universal_term(g, m2, lam, e_pow))
+        out = out + kron(f_pow, universal_term(g, m2, ctx.coordinate(0), e_pow))
     return DynOp([m1, m2], out)
 
 
-def universal_sl2_at_zero(term, slice_ctx, h_scalar_exponent_const, quantum):
-    """Coefficient of the universal term at lambda-argument 0, with the
-    second-slot h-eigenvalue -lambda + const given through the slice field.
-
-    Used by the Shapovalov comparison, where the modules are Verma slices
-    with symbolic highest weight: classically h = -lambda + c, quantumly
-    q^h = t^{-1} s^{2c}.
-    """
-    ctx = slice_ctx
-    h = h_value(ctx, h_scalar_exponent_const)
-    if quantum:
-        return universal_coefficient(term, ctx, ctx.one, h / ctx.t(0))
-    return universal_coefficient(term, ctx, ctx.zero, h - ctx.lam(0))
+def universal_sl2_at_zero(term, ctx, c):
+    """Coefficient of the universal term at lambda-argument 0 and second-slot
+    h-eigenvalue h = -lambda + c, over the field ctx of a Verma slice with
+    symbolic highest weight (the Shapovalov comparison)."""
+    h = ctx.coordinate(0).reflect_lambda([-c])
+    return universal_coefficient(term, ctx, ctx.coordinate_value(0), h)
 
 
 def shapovalov_vs_fusion(datum, depth, quantum=False):
@@ -400,7 +383,7 @@ def shapovalov_vs_fusion(datum, depth, quantum=False):
         twist = datum.q_lambda_pairing(ctx, nu, factor=-1) * ctx.q_power(j * (j - 1))
         inv_side = ctx.from_fraction(Fraction((-1) ** j)) / s_j * twist
         # universal side: h-eigenvalue of e^j x^-_{-lambda} is -lambda + 2j
-        uni = universal_sl2_at_zero(terms[j], ctx, 2 * j, quantum)
+        uni = universal_sl2_at_zero(terms[j], ctx, 2 * j)
         residuals.append(uni - inv_side)
     return residuals
 

@@ -27,6 +27,7 @@ from .linalg import Mat
 from .reps import TensorIndex, dual, sym_power, trivial_rep, vector_rep
 from .rootdata import build_type_A
 from .scalars import laurent_quotient, quantum_ctx
+from .verify import PreconditionError
 from .verma import apply_coproduct_word, solve_intertwiner, verma_slice
 
 
@@ -139,7 +140,7 @@ class DiffOp:
         mapping = {"s": 1 / ctx.s}
         out = DiffOp(ctx, self.dim)
         for nu, m in self.terms.items():
-            out._add(tuple(-x for x in nu), m.map(lambda v: v.subs(mapping)))
+            out._add(tuple(-x for x in nu), m.map(lambda v: v.monomial_subs(mapping)))
         return out
 
 
@@ -164,12 +165,6 @@ def transfer_diffop(traced, base, zero_weight=None):
     datum = traced.datum
     rop = exchange_matrix(traced, base, normalized=True)
     ctx = rop.ctx
-    # lambda -> -lambda - rho, on l_a classically and on t_a = q^(lambda_a)
-    if ctx.mode == "classical":
-        flip = {f"l{a + 1}": -ctx.lam(a) - datum.rho[a] for a in range(datum.n_coords)}
-    else:
-        flip = {f"t{a + 1}": ctx.q_power(-datum.rho[a]) / ctx.t(a)
-                for a in range(datum.n_coords)}
     if zero_weight is None:
         base_idx = list(range(base.dim))
     else:
@@ -187,7 +182,7 @@ def transfer_diffop(traced, base, zero_weight=None):
                 for w in rows:
                     trace = trace + rop.mat[idx.flat((w, vi)), idx.flat((w, vj))]
                 if not trace.is_zero:
-                    coeff.set(bi, bj, trace.subs(flip))
+                    coeff.set(bi, bj, trace.reflect_lambda(datum.rho))
         out._add(tuple(nu), coeff)
     return out
 
@@ -380,7 +375,7 @@ def sl2_reduced_macdonald(r, m):
     ctx = quantum_ctx(1)
     out = DiffOp(ctx, 1)
     for nu, mat in gl_op.terms.items():
-        c = mat[0, 0].convert(ctx, {"t1": ctx.t(0), "t2": ctx.one, "s": ctx.s})
+        c = mat[0, 0].convert(ctx, [ctx.coordinate(0), ctx.one])
         shift = (Fraction(nu[0]) - Fraction(nu[1]),)
         out._add(shift, Mat.identity(1, ctx) * c)
     return out
@@ -496,8 +491,7 @@ class TraceSeries:
         zshift = self.mu_exp * c
         if zshift.denominator != 1:
             raise MacdonaldError("non-integral mu shift")
-        sub = {"t1": self.ctx.t(0) * self.ctx.q_power(c)}
-        out = [a.subs(sub) for a in self.coeffs]
+        out = [a.shift_lambda([-c]) for a in self.coeffs]
         return TraceSeries(self.ctx, self.mu_exp, self.val - int(zshift), out)
 
     def is_zero_through(self, k_max):
@@ -562,13 +556,12 @@ def f_v_series(depth, order, module=None):
     module, and a TraceSeries is never mutated."""
     module, a = sl2_trace_function(depth, module)
     ctx = quantum_ctx(1)
-    # Psi(lambda, -mu-rho): substitute t -> q^{-mu-1} in the a_k, prefactor
+    # Psi(lambda, -mu-rho): reflect the a_k by rho = 1 of sl2, prefactor
     # becomes q^{-2(lambda,mu)} zeta
-    sub = {"t1": ctx.q_power(-1) / ctx.t(0)}
     coeffs = [ctx.zero] * (order + 1)
     for k, ak in enumerate(a):
         if 2 * k <= order:
-            coeffs[2 * k] = ak.subs(sub)
+            coeffs[2 * k] = ak.reflect_lambda([1])
     psi = TraceSeries(ctx, -1, 1, coeffs)  # the zeta from q^{-2(lambda,rho)}
     # delta_q(lambda) = q^(2(lambda,rho))(1 - q^(-2(lambda,alpha)))
     #                 = zeta^{-1} (1 - zeta^2)
@@ -618,7 +611,20 @@ def mr_residual(depth, order, dual_side=False):
 
 def trace_residuals(depth, order, biorder):
     """Theorems 9.1 and 9.2 through zeta order 2 * order, and Theorem 9.3
-    through the bi-order: (9.1 holds, 9.2 holds, symmetry mismatches)."""
+    through the bi-order: (9.1 holds, 9.2 holds, symmetry mismatches).
+
+    F_V is truncated at depth, so it is exact through zeta^(2 depth + 1) and,
+    as the transfer operators multiply by zeta^(-1), D F_V through
+    zeta^(2 depth): the checks are decided for order <= depth and biorder
+    <= 2 depth + 1.  Past a bound, or checking nothing, PreconditionError."""
+    if depth < 1:
+        raise PreconditionError(f"depth {depth} has no trace series; need depth >= 1")
+    if min(order, biorder) < 0:
+        raise PreconditionError(f"order {order} biorder {biorder} compares no "
+                                "coefficient; need both >= 0")
+    if order > depth or biorder > 2 * depth + 1:
+        raise PreconditionError(f"order {order} biorder {biorder} reads past the depth-{depth} "
+                                f"series; need order <= {depth} and biorder <= {2 * depth + 1}")
     _, ok1 = mr_residual(depth, 2 * order)
     _, ok2 = mr_residual(depth, 2 * order, dual_side=True)
     return ok1, ok2, symmetry_residuals(depth, biorder)

@@ -34,10 +34,12 @@ of the common denominator; one integer gcd settles the contents.  The
 catalog's denominators are products of a few irreducibles such as t_a - t_b
 and s^k t_a - t_b, so nearly every operation takes this path.  An operand
 without a view goes through sympy's ``cancel``, which also serves the tests
-as the reference.  A lambda-shift needs no gcd either: it is a ring
-automorphism, which maps a reduced fraction to a reduced fraction, so it
-only rewrites exponents and fixes the sign (quantum) or Taylor-shifts and
-clears denominators (classical and symbol).
+as the reference.
+
+Only this module knows how lambda is encoded: other modules read it through
+``Context.coordinate`` and ``Context.coordinate_value`` and move it by
+``shift_lambda``, ``permute_lambda`` and ``reflect_lambda``, the faces of one
+gcd-free body for lambda_a -> +-lambda_sigma(a) - mu_a.
 """
 
 from __future__ import annotations
@@ -75,15 +77,12 @@ class Context:
     """A fixed coefficient field: mode plus rank (number of lambda coordinates)."""
 
     def __init__(self, mode, n, extra=()):
-        if mode == CLASSICAL:
-            names = [f"l{i + 1}" for i in range(n)]
-        elif mode == QUANTUM:
-            names = ["s"] + [f"t{i + 1}" for i in range(n)]
-        elif mode == SYMBOL:
-            names = ["e"] + [f"w{i + 1}" for i in range(n)] + [f"l{i + 1}" for i in range(n)]
-        else:
+        heads = {CLASSICAL: [], QUANTUM: ["s"], SYMBOL: ["e"] + [f"w{i + 1}" for i in range(n)]}
+        if mode not in heads:
             raise ValueError(f"unknown mode {mode!r}")
-        names += list(extra)
+        # the generator holding lambda_a: l_a, or t_a = q^(lambda_a) quantumly
+        self._coordinates = tuple(f"{'t' if mode == QUANTUM else 'l'}{i + 1}" for i in range(n))
+        names = heads[mode] + list(self._coordinates) + list(extra)
         self.mode = mode
         self.n = n
         self.extra = tuple(extra)
@@ -131,6 +130,14 @@ class Context:
 
     def w(self, i):
         return self.gen(f"w{i + 1}")
+
+    def coordinate(self, a):
+        """lambda_a as the field holds it: l_a, or t_a = q^(lambda_a)."""
+        return self.gen(self._coordinates[a])
+
+    def coordinate_value(self, x):
+        """A number x as a lambda-coordinate value: x, or q^x quantumly."""
+        return self.q_power(x) if self.mode == QUANTUM else self.from_fraction(x)
 
     def _has_q(self):
         """True on a quantum field; False on a classical one, whose objects
@@ -537,9 +544,12 @@ class Scalar:
             raise ScalarError(f"not a constant: {self.f}")
         return (num[0][1] if num else Fraction(0)) / den[0][1]
 
-    def convert(self, tgt, mapping):
-        """Map into another context: every generator must be sent to a target
-        Scalar (omitted names map to the same-named target generator)."""
+    def convert(self, tgt, coords=(), extra=None):
+        """Map into another context: lambda_a (as `Context.coordinate` holds
+        it) to coords[a] and an extra generator to extra[name], Scalars of
+        tgt; every other generator goes to the same-named generator of tgt."""
+        mapping = dict(extra or {})
+        mapping.update(zip(self.ctx._coordinates, coords))
         return self._substitute(tgt, mapping, "conversion")
 
     def subs(self, mapping):
@@ -568,7 +578,7 @@ class Scalar:
             if len(num) != 1 or len(den) != 1 or num[0][1] != 1 or den[0][1] != 1:
                 raise ScalarError(f"{name} -> {value} is not a monomial")
             images[names.index(name)] = tuple(a - b for a, b in zip(num[0][0], den[0][0]))
-        rows = [[ZZ(x) for x in images.get(j, _unit_vector(len(names), j))]
+        rows = [[ZZ(x) for x in images.get(j, [int(k == j) for k in range(len(names))])]
                 for j in range(len(names))]
         if abs(DomainMatrix(rows, (len(names), len(names)), ZZ).det()) != 1:
             raise ScalarError("monomial substitution is not an automorphism")
@@ -594,45 +604,65 @@ class Scalar:
         return Scalar(ctx, out)
 
     def shift_lambda(self, mu):
-        """lambda -> lambda - mu, for a weight mu given in coordinates.
+        """lambda -> lambda - mu, for a weight mu given in coordinates:
+        l_a -> l_a - mu_a, or t_a -> s^(-2 mu_a) t_a quantumly, where every
+        2*mu_a must be an integer.  In symbol mode mu_a must vanish wherever
+        w_a occurs, since exp(e*c) for rational c is not in the field."""
+        return self._affine_lambda(range(self.ctx.n), 1, mu)
 
-        Classical: l_i -> l_i - mu_i.  Quantum: t_i -> s^(-2 mu_i) t_i, which
-        requires every 2*mu_i to be an integer.  Symbol mode supports only
-        rational shifts on the polynomial part when all w-shift factors are
-        trivial (mu paired into the exponentials must vanish), since
-        exp(e*c) for generic rational c is not in the field.
+    def permute_lambda(self, sigma):
+        """lambda_a -> lambda_sigma(a), the Weyl move of the gauge group; in
+        symbol mode w_a -> w_sigma(a) along with l_a."""
+        if sorted(sigma) != list(range(self.ctx.n)):
+            raise ScalarError(f"{list(sigma)} is not a permutation of the coordinates")
+        return self._affine_lambda(sigma, 1, [0] * self.ctx.n)
 
-        The shift is a ring automorphism, so it maps the reduced fraction to
-        a reduced fraction and takes no gcd.
-        """
+    def reflect_lambda(self, mu):
+        """x(-lambda - mu) for x(lambda), on the classical and quantum fields
+        (t_a -> s^(-2 mu_a) / t_a)."""
+        if self.ctx.mode == SYMBOL:
+            raise ScalarError("the symbol field has no lambda-reflection")
+        return self._affine_lambda(range(self.ctx.n), -1, mu)
+
+    def _affine_lambda(self, sigma, sign, mu):
+        """x(lambda') for lambda'_a = sign * lambda_sigma(a) - mu_a, sigma a
+        permutation and sign = +-1.  A ring automorphism keeps the fraction
+        reduced, so no gcd is taken: the signed permutation rewrites exponents
+        (l_a -> l_sigma(a) with a sign flip, t_a -> t_sigma(a)^sign), joined
+        by the s-power of a quantum translation; a classical or symbol
+        translation is a Taylor shift first."""
         ctx = self.ctx
         mu = [Fraction(x) for x in mu]
-        if len(mu) != ctx.n:
+        if len(mu) != ctx.n or len(sigma) != ctx.n:
             raise UnsupportedShiftError("shift weight has wrong length")
-        if all(x == 0 for x in mu):
-            return self
-        index = ctx.var_names.index
-        if ctx.mode == QUANTUM:
-            images = {}
-            for i, m in enumerate(mu):
-                k2 = -2 * m
-                if k2.denominator != 1:
-                    raise UnsupportedShiftError(
-                        f"quantum shift by {m} is not half-integral")
-                if k2 != 0:
-                    image = list(_unit_vector(len(ctx.var_names), index(f"t{i + 1}")))
+        index, coords, f = ctx.var_names.index, ctx._coordinates, self.f
+        quantum, symbol = ctx.mode == QUANTUM, ctx.mode == SYMBOL
+        if symbol and any(monom[index(f"w{a + 1}")] for a, m in enumerate(mu) if m
+                          for monom in (*f.numer, *f.denom)):
+            raise UnsupportedShiftError(
+                "symbol-mode shift would need exp(e*c) factors outside the field")
+        if any(mu) and not quantum:
+            f = _taylor_shift(ctx, f, {index(coords[a]): m for a, m in enumerate(mu) if m})
+        images = {}
+        for a, b in enumerate(sigma):
+            k2 = -2 * mu[a] if quantum else 0
+            if k2.denominator != 1:
+                raise UnsupportedShiftError(f"quantum shift by {mu[a]} is not half-integral")
+            if a == b and sign > 0 and not k2:
+                continue
+            pairs = [(coords[a], coords[b])]
+            if symbol:
+                pairs.append((f"w{a + 1}", f"w{b + 1}"))
+            for x, y in pairs:
+                image = [0] * len(ctx.var_names)
+                image[index(y)] = sign if quantum else 1
+                if quantum:
                     image[index("s")] = int(k2)
-                    images[index(f"t{i + 1}")] = image
-            return Scalar(ctx, _monomial_image(self.f, images))
-        if ctx.mode == SYMBOL:
-            for i, m in enumerate(mu):
-                w = index(f"w{i + 1}")
-                if m != 0 and any(monom[w] for side in (self.f.numer, self.f.denom)
-                                  for monom in side):
-                    raise UnsupportedShiftError(
-                        "symbol-mode shift would need exp(e*c) factors outside the field")
-        shifts = {index(f"l{i + 1}"): m for i, m in enumerate(mu) if m != 0}
-        return Scalar(ctx, _taylor_shift(ctx, self.f, shifts))
+                images[index(x)] = image
+        if images:
+            negated = [index(x) for x in coords] if sign < 0 and not quantum else ()
+            f = _monomial_image(f, images, negated)
+        return self if f is self.f else Scalar(ctx, f)
 
     def gamma_expand(self, order):
         """Expand at lambda -> lambda/gamma (and q = exp(-e*gamma/2)) through
@@ -679,13 +709,10 @@ def _rational_terms(poly):
     return [(monom, Fraction(int(c))) for monom, c in poly.terms()]
 
 
-def _unit_vector(n, j):
-    return tuple(int(k == j) for k in range(n))
-
-
-def _monomial_image(f, images):
+def _monomial_image(f, images, negated=()):
     """f under the ring automorphism sending generator j to the Laurent
-    monomial with exponent vector images[j] (other generators are fixed).
+    monomial with exponent vector images[j] (other generators are fixed),
+    times -1 for j in negated.
 
     Monomials and +-1 are the only units of the Laurent ring, and the
     integer coefficients only move between monomials, so the images of the
@@ -698,6 +725,8 @@ def _monomial_image(f, images):
     for poly in (f.numer, f.denom):
         side = {}
         for monom, c in poly.items():
+            if negated and sum(monom[j] for j in negated) % 2:
+                c = -c
             new = list(monom)
             for j, image in moved:
                 e = monom[j]

@@ -143,6 +143,14 @@ def hecke_check(rop, q, name="R"):
     return _report("hecke", name, _matrix_pairs(quad, idx))
 
 
+def family_cases(n_max):
+    """Every case (family, n, X) of `family_check` for n = 2..n_max: for
+    each n the subsets X by bitmask, each with R_X and then R^eps_X."""
+    return [(family, n, [i + 1 for i in range(n) if mask >> i & 1])
+            for n in range(2, n_max + 1) for mask in range(1 << n)
+            for family in ("R-X", "R-eps-X")]
+
+
 def family_check(case):
     """QDYBE and Hecke for one case (family, n, X) of R_X ("R-X") or
     R^eps_X ("R-eps-X"), X a 1-based subset of 1..n: True iff both hold."""
@@ -203,12 +211,8 @@ def gauge_classical(rmat, kind, data):
                                 rmat.name + "+shift")
     if kind == 3:
         sigma = list(data)
-        terms = []
-        for (a, b, c) in rmat.terms:
-            a2 = _conjugate_by_permutation(a, sigma)
-            b2 = _conjugate_by_permutation(b, sigma)
-            c2 = _permute_coordinates(ctx, c, sigma)
-            terms.append((a2, b2, c2))
+        terms = [(_conjugate_by_permutation(a, sigma), _conjugate_by_permutation(b, sigma),
+                  c.permute_lambda(sigma)) for (a, b, c) in rmat.terms]
         return ClassicalRMatrix(datum, ctx, terms, rmat.coupling, rmat.w_eps,
                                 rmat.name + "+weyl")
     raise InvalidGaugeError(f"unknown classical gauge kind {kind}")
@@ -238,20 +242,6 @@ def _conjugate_by_permutation(x, sigma):
     return {(sigma[a], sigma[b]): v for (a, b), v in x.items()}
 
 
-def _permute_coordinates(ctx, c, sigma):
-    """Substitute coordinate a by coordinate sigma(a) in every symbol."""
-    mapping = {}
-    for a, b in enumerate(sigma):
-        if a != b:
-            if ctx.mode == "quantum":
-                mapping[f"t{a + 1}"] = ctx.gen(f"t{b + 1}")
-            else:
-                mapping[f"l{a + 1}"] = ctx.gen(f"l{b + 1}")
-                if ctx.mode == "symbol":
-                    mapping[f"w{a + 1}"] = ctx.gen(f"w{b + 1}")
-    return c.monomial_subs(mapping) if mapping else c
-
-
 def gauge_quantum(rop, kind, data):
     """The Section-6.2 moves on quantum dynamical R-matrices of Hecke form."""
     v = rop.factors[0]
@@ -277,9 +267,8 @@ def gauge_quantum(rop, kind, data):
         for (r, c, val) in rop.mat.entries():
             ra, rb = idx.multi(r)
             ca, cb = idx.multi(c)
-            val2 = _permute_coordinates(ctx, val, sigma)
             out.set(idx.flat((sigma[ra], sigma[rb])),
-                    idx.flat((sigma[ca], sigma[cb])), val2)
+                    idx.flat((sigma[ca], sigma[cb])), val.permute_lambda(sigma))
         return DynOp([v, v], out)
     raise InvalidGaugeError(f"unknown quantum gauge kind {kind}")
 

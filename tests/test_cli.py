@@ -218,12 +218,40 @@ def test_macdonald_commute_without_a_pair_is_a_precondition_violation(capsys, li
     ("macdonald trace-residual --depth 2 --order -1 --biorder -1", "no coefficient"),
     ("macdonald trace-residual --depth 2 --order -1 --biorder 0", "no coefficient"),
     ("macdonald trace-residual --depth 2 --order 0 --biorder -1", "no coefficient"),
+    # exited 1 ("check failed") reading past the truncated series
+    ("macdonald trace-residual --depth 1 --order 2", "order 2"),
+    ("macdonald trace-residual --depth 2 --order 3", "order 3"),
+    ("macdonald trace-residual --depth 1 --order 1 --biorder 4", "biorder 4"),
+    ("macdonald trace-residual --depth 2 --order 2 --biorder 6", "biorder 6"),
 ])
 def test_vacuous_trace_residual_is_a_precondition_violation(capsys, line, named):
     code = main(line.split())
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert named in captured.err
+
+
+@pytest.mark.parametrize("line", [
+    "macdonald trace-residual --depth 2 --order 2",
+    "macdonald trace-residual --depth 2 --order 2 --biorder 5",
+])
+def test_trace_residual_passes_at_its_bounds(capsys, line):
+    code, out = run_cli(capsys, line.split())
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["macdonald_ruijsenaars"] and payload["dual"]
+    assert payload["symmetry_mismatches"] == []
+
+
+@pytest.mark.parametrize("line", [
+    # exited 1: the Cartan part was built with the epsilon-coordinate form
+    "verify cdybe --catalog appA --n 2 --flavor sl --gamma1 1 --gamma2 1 --l-basis 1",
+    "verify cdybe --catalog appA --n 2 --flavor sl --gamma1 1 --gamma2 1 --l-basis 2",
+    "verify unitarity --catalog appA --n 2 --flavor sl --gamma1 1 --gamma2 1 --l-basis 1",
+])
+def test_appendix_a_on_sl2(capsys, line):
+    code, _ = run_cli(capsys, line.split())
+    assert code == 0
 
 
 @pytest.mark.parametrize("line,named", [
@@ -248,6 +276,12 @@ def test_vacuous_trace_residual_is_a_precondition_violation(capsys, line, named)
     ("catalog appA --n 2 --l-basis 1", "(1)"),
     # raised ValueError (exit 1, "check failed")
     ("macdonald corollary91 --m -1", "-1"),
+    # a quantum family printed its gl_n artifact for --flavor sl
+    ("catalog R-X --n 2 --X 1,2 --flavor sl", "--flavor sl"),
+    ("verify qdybe --catalog R-eps-X --n 2 --X 1 --flavor sl", "--flavor sl"),
+    ("limit --catalog gl-closed-form --n 2 --flavor sl", "--flavor sl"),
+    # named the root as (Fraction(1, 1), Fraction(-1, 1))
+    ("catalog r-l --n 3 --roots 1,-1", "(1,-1) has 2 entries"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, line, named):
     code = main(line.split())

@@ -203,7 +203,7 @@ def test_shapovalov_comparison():
         terms = universal_sl2_fusion(3, quantum)
         sl = verma_slice(datum, datum.zero_weight, 3, quantum)
         for j_lvl in range(4):
-            uni = universal_sl2_at_zero(terms[j_lvl], sl.ctx, 2 * j_lvl, quantum)
+            uni = universal_sl2_at_zero(terms[j_lvl], sl.ctx, 2 * j_lvl)
             assert (uni - coeffs[j_lvl]).is_zero
 
 

@@ -11,6 +11,7 @@ from dybax.scalars import (
     NotRegularError,
     ScalarError,
     UnsupportedShiftError,
+    aux_ctx,
     classical_ctx,
     quantum_ctx,
     symbol_ctx,
@@ -24,6 +25,7 @@ FIELDS = {
 }
 half_integers = st.integers(-6, 6).map(lambda k: Fraction(k, 2))
 weights = st.lists(half_integers, min_size=2, max_size=2)
+permutations = st.sampled_from([[0, 1], [1, 0]])
 
 
 @st.composite
@@ -53,7 +55,24 @@ def subs_shift(x, mu):
     return x.subs({f"l{i + 1}": ctx.lam(i) - m for i, m in enumerate(mu)})
 
 
+def subs_permute(x, sigma):
+    """lambda_a -> lambda_sigma(a) by generic substitution, w_a with l_a."""
+    ctx = x.ctx
+    letters = {"classical": "l", "quantum": "t", "symbol": "lw"}[ctx.mode]
+    return x.subs({f"{g}{a + 1}": ctx.gen(f"{g}{b + 1}")
+                   for g in letters for a, b in enumerate(sigma)})
+
+
+def subs_reflect(x, mu):
+    """lambda -> -lambda - mu by generic substitution."""
+    ctx = x.ctx
+    if ctx.mode == "quantum":
+        return x.subs({f"t{i + 1}": ctx.s ** int(-2 * m) / ctx.t(i) for i, m in enumerate(mu)})
+    return x.subs({f"l{i + 1}": -ctx.lam(i) - m for i, m in enumerate(mu)})
+
+
 modes = pytest.mark.parametrize("mode", sorted(FIELDS))
+reflecting_modes = pytest.mark.parametrize("mode", ["classical", "quantum"])
 
 
 def test_canonical_reduction():
@@ -199,6 +218,45 @@ def test_shift_matches_substitution(mode, data):
 @modes
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
+def test_permute_matches_substitution(mode, data):
+    x, sigma = data.draw(st.tuples(fractions(mode), permutations))
+    assert x.permute_lambda(sigma).fraction_terms() == subs_permute(x, sigma).fraction_terms()
+
+
+@reflecting_modes
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_reflect_matches_substitution(mode, data):
+    x, mu = data.draw(st.tuples(fractions(mode), weights))
+    assert x.reflect_lambda(mu).fraction_terms() == subs_reflect(x, mu).fraction_terms()
+
+
+def test_symbol_permutation_moves_w_and_reflection_is_undefined():
+    ctx = symbol_ctx(2)
+    x = ctx.w(0) / (ctx.lam(0) - 2 * ctx.lam(1))
+    assert x.permute_lambda([1, 0]) == ctx.w(1) / (ctx.lam(1) - 2 * ctx.lam(0))
+    for move in (lambda: x.reflect_lambda([0, 1]), lambda: x.permute_lambda([0, 0])):
+        with pytest.raises(ScalarError):
+            move()
+
+
+@modes
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_permute_and_reflect_commute_with_field_operations(mode, data):
+    x, y = data.draw(fractions(mode)), data.draw(fractions(mode))
+    sigma, mu = data.draw(permutations), data.draw(weights)
+    moves = [lambda v: v.permute_lambda(sigma)]
+    if mode != "symbol":
+        moves.append(lambda v: v.reflect_lambda(mu))
+    for move in moves:
+        assert move(x * y) == move(x) * move(y)
+        assert move(x + y) == move(x) + move(y)
+
+
+@modes
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
 def test_shift_round_trip(mode, data):
     x, mu = data.draw(st.tuples(fractions(mode), weights))
     back = x.shift_lambda(mu).shift_lambda([-m for m in mu])
@@ -230,6 +288,19 @@ def test_monomial_subs_matches_substitution(mode, data):
     else:
         mapping = {"l1": ctx.lam(1), "l2": ctx.lam(0)}
     assert x.monomial_subs(mapping).fraction_terms() == x.subs(mapping).fraction_terms()
+
+
+def test_convert_takes_coordinates_by_index():
+    src, tgt = quantum_ctx(2), quantum_ctx(1)
+    assert (src.coordinate(1), tgt.coordinate_value(Fraction(3, 2))) == (src.t(1), tgt.s ** 3)
+    x = (src.s * src.t(0) - src.t(1)) / (src.t(0) + 2)
+    t = tgt.coordinate(0)
+    assert x.convert(tgt, [t, tgt.one]) == (tgt.s * t - 1) / (t + 2)
+    aux, ctx = aux_ctx("classical", 1, ("x",)), classical_ctx(1)
+    y = aux.coordinate(0) / (aux.gen("x") + 1)
+    lam, two = ctx.coordinate(0), ctx.coordinate_value(2)
+    assert (lam, two) == (ctx.lam(0), ctx.from_fraction(2))
+    assert y.convert(ctx, [lam + 1], {"x": two}) == (lam + 1) / 3
 
 
 def test_monomial_subs_rejects_non_automorphisms():
