@@ -447,9 +447,9 @@ def _solve_r0(triple, ctx):
 def _cartan_element(datum, mu):
     """The element t_mu of h with (t_mu, x) = mu(x): sum_a (G mu)_a h_a over
     `RootDatum.cartan_pairs`."""
-    out = {}
+    out, dual = {}, datum.form_dual(mu)
     for h, a in datum.cartan_pairs():
-        out = mat_add(out, h, datum.form_dual(mu)[a])
+        out = mat_add(out, h, dual[a])
     return out
 
 

@@ -36,7 +36,7 @@ and s^k t_a - t_b, so nearly every operation takes this path.  An operand
 without a view goes through sympy's ``cancel``, which also serves the tests
 as the reference.
 
-Only this module knows how lambda is encoded: other modules read it through
+Only this module branches on how lambda is encoded: others read it through
 ``Context.coordinate`` and ``Context.coordinate_value`` and move it by
 ``shift_lambda``, ``permute_lambda`` and ``reflect_lambda``, the faces of one
 gcd-free body for lambda_a -> +-lambda_sigma(a) - mu_a.
