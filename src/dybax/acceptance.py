@@ -307,8 +307,8 @@ def criterion_11():
     for quantum in (False, True):
         v = vector_rep(d_sl2, quantum)
         u = sym_power(v, 2)
-        d_v = transfer_diffop(v, u, zero_weight=(0,))
-        d_vw = transfer_diffop(tensor(v, v), u, zero_weight=(0,))
+        d_v = transfer_diffop(v, u)
+        d_vw = transfer_diffop(tensor(v, v), u)
         ok = ok and (d_vw - d_v * d_v).is_zero
     return ok
 
@@ -317,7 +317,7 @@ def criterion_12():
     """Corollary 9.1 as an exact difference-operator identity."""
     ok = True
     for m in (0, 1):
-        passed, _, _ = corollary91_check(2, 1, m)
+        passed, _, _ = corollary91_check(m)
         ok = ok and passed
     return ok
 

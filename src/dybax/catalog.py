@@ -138,10 +138,9 @@ def basic_rational_r(datum):
     return _rational_r(datum, datum.positive_roots, "basic-rational")
 
 
-def basic_trig_r(datum, eps=None):
+def basic_trig_r(datum):
     """(eps/2) Omega + sum (eps/2) cotanh((eps/2)(alpha,lambda)) e wedge f."""
-    return classical_r_trig_X(datum, list(range(datum.rank)), eps,
-                              name="basic-trig")
+    return classical_r_trig_X(datum, list(range(datum.rank)), name="basic-trig")
 
 
 def classical_r_zero_coupling(datum, roots):

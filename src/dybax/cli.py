@@ -125,13 +125,29 @@ def _quantum_catalog(args):
     if args.name == "R-eps-X":
         return quantum_R_eps_X(args.n, _parse_subset(args.X, args.n))
     if args.name == "gl-closed-form":
-        j, r = glN_closed_forms(args.n, args.quantum)
+        # `limit` has no --quantum: it expands quantum solutions only
+        j, r = glN_closed_forms(args.n, getattr(args, "quantum", True))
         return r if args.part == "R" else j
     raise argparse.ArgumentTypeError(f"unknown quantum catalog name {args.name}")
 
 
 CLASSICAL_NAMES = ("basic-rational", "basic-trig", "r-l", "r-eps-X", "appA")
 QUANTUM_NAMES = ("R-X", "R-eps-X", "gl-closed-form")
+
+# Each catalog option of `catalog`, `verify` and `limit` with its default and
+# the families that read it (for --p, the verify equation); the commands
+# reject an option that is set away from its default and that they would
+# silently ignore.
+OPTION_READERS = {
+    "X": ("", ("r-eps-X", "R-X", "R-eps-X")),
+    "roots": ("", ("r-l",)),
+    "gamma1": ("", ("appA",)),
+    "gamma2": ("", ("appA",)),
+    "l_basis": ("", ("appA",)),
+    "quantum": (False, ("gl-closed-form",)),
+    "part": ("R", ("gl-closed-form",)),
+    "p": (3, ("hecke-rep",)),
+}
 
 
 def cmd_datum(args):
@@ -288,6 +304,8 @@ def cmd_shapovalov(args):
 
 
 def cmd_macdonald(args):
+    if args.action != "trace-residual" and args.m < 0:
+        raise argparse.ArgumentTypeError(f"--m {args.m} is below 0")
     if args.action == "operator":
         if not 1 <= args.r <= args.n:
             raise argparse.ArgumentTypeError(f"--r {args.r} is not in 1..{args.n}")
@@ -322,9 +340,7 @@ def cmd_macdonald(args):
                      "n": args.n, "m": args.m, "pass": ok})
         return EXIT_OK if ok else EXIT_CHECK_FAILED
     if args.action == "corollary91":
-        if args.m < 0:
-            raise argparse.ArgumentTypeError(f"--m {args.m} is below 0")
-        ok, lhs, rhs = corollary91_check(2, 1, args.m)
+        ok, lhs, rhs = corollary91_check(args.m)
         payload = {"schema": serialize.SCHEMA, "kind": "corollary-9-1",
                    "m": args.m, "pass": ok,
                    "lhs": serialize.diffop_json(lhs, "transfer side"),
@@ -417,7 +433,6 @@ def build_parser():
                    choices=QUANTUM_NAMES)
     common(p)
     p.add_argument("--X", default="")
-    p.add_argument("--quantum", action="store_true", default=True)
     p.add_argument("--part", choices=("J", "R"), default="R")
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--check-eq4", action="store_true")
@@ -453,6 +468,12 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command in ("catalog", "verify", "limit"):
+            read_by = {args.name, getattr(args, "equation", None)}
+            for dest, (default, readers) in OPTION_READERS.items():
+                if getattr(args, dest, default) != default and read_by.isdisjoint(readers):
+                    raise argparse.ArgumentTypeError(
+                        f"--{dest.replace('_', '-')} is read only by {', '.join(readers)}")
         return args.func(args)
     except (PreconditionError,) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)

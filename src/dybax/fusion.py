@@ -50,11 +50,6 @@ class DynOp:
         self.index = TensorIndex([m.dim for m in self.factors])
         self.dim = self.index.size
 
-    @classmethod
-    def identity(cls, factors):
-        idx = TensorIndex([m.dim for m in factors])
-        return cls(factors, Mat.identity(idx.size, factors[0].ctx))
-
     def slot_weight(self, flat, slot):
         return self.factors[slot].weights[self.index.multi(flat)[slot]]
 
@@ -112,9 +107,6 @@ class DynOp:
             raise FusionError("flip21 needs exactly two factors")
         m1, m2 = self.factors
         return DynOp([m2, m1], place_operator(self.mat, [m2.dim, m1.dim], 1, 0))
-
-    def entry(self, row_multi, col_multi):
-        return self.mat[self.index.flat(row_multi), self.index.flat(col_multi)]
 
 
 def place_in_slots(op, factors, slot_a, slot_b):

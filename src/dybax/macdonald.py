@@ -59,17 +59,6 @@ class DiffOp:
         else:
             self.terms[nu] = mat
 
-    @classmethod
-    def identity(cls, ctx, dim, ncoords):
-        nu = (Fraction(0),) * ncoords
-        return cls(ctx, dim, {nu: Mat.identity(dim, ctx)})
-
-    @classmethod
-    def scalar_term(cls, ctx, nu, coeff):
-        m = Mat(1, 1, ctx)
-        m.set(0, 0, coeff)
-        return cls(ctx, 1, {tuple(nu): m})
-
     def _shift_mat(self, mat, nu):
         """Coefficient matrix evaluated at lambda + nu."""
         neg = [-x for x in nu]
@@ -106,12 +95,6 @@ class DiffOp:
     def is_zero(self):
         return all(m.is_zero for m in self.terms.values())
 
-    def scalar_coefficient(self, nu):
-        m = self.terms.get(tuple(Fraction(x) for x in nu))
-        if m is None:
-            return self.ctx.zero
-        return m[0, 0]
-
     def apply_scalar(self, f):
         """Apply a scalar-coefficient operator to a function of lambda."""
         if self.dim != 1:
@@ -144,7 +127,7 @@ class DiffOp:
         return out
 
 
-def transfer_diffop(traced, base, zero_weight=None):
+def transfer_diffop(traced, base):
     """D^base_traced = sum_nu Tr_{traced[nu]}(R_{traced,base}(-lambda-rho)) T_nu.
 
     R is the exchange matrix in the invariant (sl) normalization of the
@@ -157,19 +140,13 @@ def transfer_diffop(traced, base, zero_weight=None):
     substitution is a ring map, so this is the trace of the substituted
     matrix.
 
-    With zero_weight given, the (weight-preserving) coefficients are
-    restricted to that weight space of base, which is where the scalar
-    Macdonald-Ruijsenaars theory lives; otherwise they act on all of base,
-    which is what the commuting-family identities need for small modules
-    with no zero-weight vectors."""
+    The (weight-preserving) coefficients are restricted to the zero-weight
+    space of base, which is where the scalar Macdonald-Ruijsenaars theory
+    lives."""
     datum = traced.datum
     rop = exchange_matrix(traced, base, normalized=True)
     ctx = rop.ctx
-    if zero_weight is None:
-        base_idx = list(range(base.dim))
-    else:
-        zero = tuple(Fraction(x) for x in zero_weight)
-        base_idx = [i for i, w in enumerate(base.weights) if w == zero]
+    base_idx = [i for i, w in enumerate(base.weights) if w == datum.zero_weight]
     if not base_idx:
         raise MacdonaldError("base module has no zero-weight space")
     idx = TensorIndex([traced.dim, base.dim])
@@ -366,12 +343,12 @@ def schur_polynomial(n, mu):
     return _monomial_expansion(num / den)
 
 
-def sl2_reduced_macdonald(r, m):
-    """M_r for n = 2 reduced to the sl2 coordinate l = lambda_1 - lambda_2:
+def sl2_reduced_macdonald(m):
+    """M_1 for n = 2 reduced to the sl2 coordinate l = lambda_1 - lambda_2:
     coefficients are functions of x_1/x_2 = t^2 and the gl shifts e_1, e_2
     become l -> l +- 1 (all Macdonald coefficients are homogeneous of
     degree zero, so the reduction is exact)."""
-    gl_op = macdonald_operator(2, r, m)
+    gl_op = macdonald_operator(2, 1, m)
     ctx = quantum_ctx(1)
     out = DiffOp(ctx, 1)
     for nu, mat in gl_op.terms.items():
@@ -395,23 +372,21 @@ def gamma_m_sl2(ctx, m):
     return out
 
 
-def corollary91_check(n, r, m):
-    """D_{Lambda^r}(q^{-1},-lambda) = delta gamma_m M_r gamma_m^{-1} delta^{-1}.
+def corollary91_check(m):
+    """D_{Lambda^r}(q^{-1},-lambda) = delta gamma_m M_r gamma_m^{-1} delta^{-1}
+    at the desk scale n = 2, r = 1.
 
     The identity is an sl_n statement (in gl coordinates both sides differ
     by central q^(c(lambda_1+...+lambda_n)) gauge factors), so it is checked
-    in the sl2 coordinate; desk scale n = 2, r = 1, m in {0, 1}.
-    Returns (exact, lhs, rhs)."""
-    if n != 2 or r != 1:
-        raise MacdonaldError("the desk-scale identity is n = 2, r = 1")
+    in the sl2 coordinate.  Returns (exact, lhs, rhs)."""
     datum = build_type_A(2, "sl")
     vq = vector_rep(datum, quantum=True)
-    base = trivial_rep(datum, quantum=True) if m == 0 else sym_power(vq, m * n)
-    d_op = transfer_diffop(vq, base, zero_weight=datum.zero_weight)
+    base = trivial_rep(datum, quantum=True) if m == 0 else sym_power(vq, 2 * m)
+    d_op = transfer_diffop(vq, base)
     lhs = d_op.transform_q_inverse_neg_lambda()
     ctx = lhs.ctx
     g = delta_q_sl2(ctx) * gamma_m_sl2(ctx, m)
-    rhs = sl2_reduced_macdonald(r, m).conjugate_by(g)
+    rhs = sl2_reduced_macdonald(m).conjugate_by(g)
     return (lhs - rhs).is_zero, lhs, rhs
 
 
@@ -588,8 +563,7 @@ def mr_residual(depth, order, dual_side=False):
     w_mod = vector_rep(datum, quantum=True)
     module, f_series = f_v_series(depth, 2 * depth + 2)
     ctx = f_series.ctx
-    d_op = transfer_diffop(w_mod, dual(module) if dual_side else module,
-                           zero_weight=(0,))
+    d_op = transfer_diffop(w_mod, dual(module) if dual_side else module)
     if d_op.dim != 1:
         raise MacdonaldError("base zero-weight space must be one-dimensional")
     terms = []

@@ -537,13 +537,6 @@ class Scalar:
         one pair per monomial, exponents in the order of ``ctx.var_names``."""
         return _rational_terms(self.f.numer), _rational_terms(self.f.denom)
 
-    def to_fraction(self):
-        """The value as an exact rational; error if not constant."""
-        num, den = self.fraction_terms()
-        if any(any(monom) for monom, _ in num + den):
-            raise ScalarError(f"not a constant: {self.f}")
-        return (num[0][1] if num else Fraction(0)) / den[0][1]
-
     def convert(self, tgt, coords=(), extra=None):
         """Map into another context: lambda_a (as `Context.coordinate` holds
         it) to coords[a] and an extra generator to extra[name], Scalars of

@@ -99,13 +99,12 @@ def qdybe_residual(rop, name="R"):
     return _report("qdybe", name, _matrix_pairs(diff, idx))
 
 
-def cdybe_residual(rmat, name=None):
+def cdybe_residual(rmat):
     """The classical dynamical Yang-Baxter residual of a g (x) g tensor.
 
     Alt(sum_j h_j (x) d/dl_j applied to r) + [r12,r13]+[r12,r23]+[r13,r23],
     expanded over the elementary-matrix basis of g (x) g (x) g.
     """
-    name = name or rmat.name
     acc = {}
     # derivative part (r-matrices defined on l* carry their own pairs)
     for (h, coord) in rmat.cartan_pairs():
@@ -122,7 +121,7 @@ def cdybe_residual(rmat, name=None):
             add_tensor(acc, cc, mat_bracket(a1, a2), b1, b2)   # [r12, r13]
             add_tensor(acc, cc, a1, mat_bracket(b1, a2), b2)   # [r12, r23]
             add_tensor(acc, cc, a1, a2, mat_bracket(b1, b2))   # [r13, r23]
-    return _report("cdybe", name, sorted(acc.items()))
+    return _report("cdybe", rmat.name, sorted(acc.items()))
 
 
 def hecke_check(rop, q, name="R"):
@@ -159,34 +158,33 @@ def family_check(case):
     return qdybe_residual(op).exact_zero and hecke_check(op, op.ctx.q_power(1)).exact_zero
 
 
-def unitarity_check(rmat, eps=None, name=None):
+def unitarity_check(rmat, eps=None):
     """r + r^21 = eps * Omega as an exact g (x) g tensor identity."""
     ctx = rmat.ctx
     eps = rmat.coupling if eps is None else ctx(eps)
-    name = name or rmat.name
     acc = {}
     for (a, b, c) in rmat.terms:
         add_tensor(acc, c, a, b)
         add_tensor(acc, c, b, a)
     for (a, b, c) in rmat.datum.casimir():
         add_tensor(acc, -eps * Fraction(c), a, b)
-    return _report("unitarity", name, sorted(acc.items()))
+    return _report("unitarity", rmat.name, sorted(acc.items()))
 
 
-def cocycle_residual(u, w, v, builder=fusion_exchange_construction, name="J"):
+def cocycle_residual(u, w, v):
     """J_{U(x)W,V} (J_{UW}(l-h3) (x) 1) = J_{U,W(x)V} (1 (x) J_{WV})."""
     uw = tensor(u, w)
     wv = tensor(w, v)
     factors = [u, w, v]
-    j_uw_v = builder(uw, v)       # on (U (x) W) (x) V: same flat space
-    j_uw = builder(u, w)
-    j_u_wv = builder(u, wv)
-    j_wv = builder(w, v)
+    j_uw_v = fusion_exchange_construction(uw, v)   # on (U (x) W) (x) V: same flat space
+    j_uw = fusion_exchange_construction(u, w)
+    j_u_wv = fusion_exchange_construction(u, wv)
+    j_wv = fusion_exchange_construction(w, v)
     left = DynOp(factors, j_uw_v.mat) * place_in_slots(j_uw, factors, 0, 1).shifted(2)
     right = DynOp(factors, j_u_wv.mat) * place_in_slots(j_wv, factors, 1, 2)
     diff = left.mat - right.mat
     idx = TensorIndex([u.dim, w.dim, v.dim])
-    return _report("cocycle", name, _matrix_pairs(diff, idx))
+    return _report("cocycle", "J", _matrix_pairs(diff, idx))
 
 
 # -- gauge transformations ---------------------------------------------------

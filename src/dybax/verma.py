@@ -128,10 +128,6 @@ def root_partitions(datum, nu):
     return sorted(padded)
 
 
-def kostant(datum, nu):
-    return len(root_partitions(datum, nu))
-
-
 def ordered_positive_roots(datum):
     roots = list(datum.positive_roots)
     roots.sort(key=lambda b: (datum.root_height(b), tuple(map(Fraction, b))))
@@ -311,16 +307,6 @@ class Intertwiner:
         self.aux = aux
         self.v_index = v_index
         self.image = image  # {(key, aux index): Scalar}
-
-    def expectation(self):
-        """<Phi> as a dense aux-module coefficient vector."""
-        ctx = self.slice.ctx
-        out = [ctx.zero] * self.aux.dim
-        empty = self.slice.empty_key()
-        for (key, u), c in self.image.items():
-            if key == empty:
-                out[u] = out[u] + c
-        return out
 
 
 def solve_intertwiner(slice_, aux, v_index):

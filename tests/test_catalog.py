@@ -87,8 +87,9 @@ def test_quantum_R_X_examples():
     r2 = quantum_R_X(2, [1, 2])
     ctx = r2.ctx
     c = 1 / (ctx.lam(0) - ctx.lam(1))
-    assert r2.entry((0, 1), (0, 1)) == 1 + c
-    assert r2.entry((1, 0), (0, 1)) == c
+    # flat index of v_a (x) v_b is 2a + b
+    assert r2.mat[1, 1] == 1 + c
+    assert r2.mat[2, 1] == c
 
 
 def test_quantum_R_eps_X_empty():
@@ -97,9 +98,10 @@ def test_quantum_R_eps_X_empty():
     r = quantum_R_eps_X(2, [])
     ctx = r.ctx
     q = ctx.s ** 2
-    assert r.entry((0, 1), (1, 0)) == 1 - q   # beta_21 on v_2 (x) v_1
-    assert r.entry((1, 0), (0, 1)).is_zero    # beta_12
-    assert r.entry((0, 1), (0, 1)) == q       # alpha_12 = q + 0
+    # flat index of v_a (x) v_b is 2a + b
+    assert r.mat[1, 2] == 1 - q   # beta_21 on v_2 (x) v_1
+    assert r.mat[2, 1].is_zero    # beta_12
+    assert r.mat[1, 1] == q       # alpha_12 = q + 0
 
 
 def test_families_satisfy_qdybe_and_hecke():

@@ -282,9 +282,26 @@ def test_appendix_a_on_sl2(capsys, line):
     ("limit --catalog gl-closed-form --n 2 --flavor sl", "--flavor sl"),
     # named the root as (Fraction(1, 1), Fraction(-1, 1))
     ("catalog r-l --n 3 --roots 1,-1", "(1,-1) has 2 entries"),
+    # raised MacdonaldError (exit 1): at t = q^-1 two M_1 eigenvalues collide
+    ("macdonald polynomial --n 2 --mu 2,0 --m -2", "-2"),
+    ("macdonald operator --n 2 --r 1 --m -1", "-1"),
+    ("macdonald commute --n 2 --m -1", "-1"),
+    # an option the family does not read was ignored (exit 0)
+    ("catalog basic-rational --n 3 --X 1", "--X"),
+    ("catalog R-X --n 2 --part J", "--part"),
+    ("verify qdybe --catalog R-X --n 2 --X 1,2 --p 4", "--p"),
+    ("verify cdybe --catalog basic-rational --n 2 --quantum", "--quantum"),
+    ("catalog appA --n 3 --gamma1 1 --gamma2 2 --l-basis 1,0,-1 --roots 1,-1,0", "--roots"),
+    ("limit --catalog R-X --n 2 --X 1 --part J", "--part"),
+    ("limit --catalog gl-closed-form --n 2 --X 1", "--X"),
+    # was a store_true flag that defaulted to True
+    ("limit --catalog gl-closed-form --n 2 --quantum", "--quantum"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, line, named):
-    code = main(line.split())
+    try:
+        code = main(line.split())
+    except SystemExit as exc:      # argparse rejects an unknown option itself
+        code = exc.code
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert named in captured.err

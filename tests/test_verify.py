@@ -4,7 +4,8 @@ import pytest
 
 from dybax.catalog import basic_rational_r, basic_trig_r, quantum_R_X, quantum_R_eps_X
 from dybax.fusion import DynOp
-from dybax.reps import tensor, trivial_rep, vector_rep
+from dybax.linalg import Mat
+from dybax.reps import trivial_rep, vector_rep
 from dybax.rootdata import build_type_A
 from dybax.verify import (
     InvalidGaugeError,
@@ -24,7 +25,7 @@ from dybax.verify import (
 def test_qdybe_identity_and_negative_control():
     r = quantum_R_X(2, [1, 2])
     assert qdybe_residual(r).exact_zero
-    ident = DynOp.identity(r.factors)
+    ident = DynOp(r.factors, Mat.identity(r.dim, r.ctx))
     assert qdybe_residual(ident).exact_zero
     bad = perturb_dynop(r, (0, 1), (0, 1), r.ctx.lam(0))
     rep = qdybe_residual(bad)
@@ -35,7 +36,7 @@ def test_qdybe_identity_and_negative_control():
 def test_qdybe_preconditions():
     datum = build_type_A(2, "gl")
     v = vector_rep(datum)
-    op = DynOp.identity([v, v])
+    op = DynOp([v, v], Mat.identity(4, v.ctx))
     # non-weight-zero perturbation -> precondition error
     bad = perturb_dynop(op, (0, 0), (0, 1), op.ctx.one)
     with pytest.raises(PreconditionError):
@@ -61,7 +62,7 @@ def test_hecke_identity_parameter():
     # (eigenvalue -q = -1), and q = -1 is excluded
     datum = build_type_A(2, "gl")
     v = vector_rep(datum)
-    ident = DynOp.identity([v, v])
+    ident = DynOp([v, v], Mat.identity(4, v.ctx))
     assert hecke_check(ident, ident.ctx.one).exact_zero
     assert not hecke_check(ident, ident.ctx.from_fraction(-1)).exact_zero
 
@@ -70,7 +71,7 @@ def test_hecke_diagonal_stage_is_a_residual_report():
     # 2 * identity: PR - 1 = 2P - 1 does not kill the diagonal blocks
     datum = build_type_A(2, "gl")
     v = vector_rep(datum)
-    twice = DynOp.identity([v, v]) * v.ctx.from_fraction(2)
+    twice = DynOp([v, v], Mat.identity(4, v.ctx)) * v.ctx.from_fraction(2)
     report = hecke_check(twice, twice.ctx.one)
     assert not report.exact_zero and report.entries_checked == 2
     assert report.witness == (((0, 0), (0, 0)), "1")
