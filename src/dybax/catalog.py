@@ -409,10 +409,12 @@ def _solve_r0(triple, ctx):
         talpha = datum.simple_roots[triple.tau[isimp]]
         amta = weight_sub(alpha, talpha)
         apta = weight_add(alpha, talpha)
-        # ((alpha - tau alpha) (x) 1) r0 = 1/2 ((tau alpha + alpha) (x) 1) Omega_h0
-        # rhs vector: 1/2 proj_{h0} of t_(alpha+tau alpha)
+        # (alpha (x) 1 + 1 (x) tau alpha)(r0 + Omega_h0 / 2) = 0, the sign that
+        # goes with the tau-terms e_(tau^k alpha) ^ e_-alpha above, that is
+        # ((alpha - tau alpha) (x) 1) r0 = -1/2 ((tau alpha + alpha) (x) 1) Omega_h0
+        # rhs vector: -1/2 proj_{h0} of t_(alpha+tau alpha)
         pair_a = [datum.pairing(apta, b) for b in h0]
-        rhs_vec = [Fraction(1, 2) * sum(ginv[k][i] * pair_a[k] for k in range(d))
+        rhs_vec = [Fraction(-1, 2) * sum(ginv[k][i] * pair_a[k] for k in range(d))
                    for i in range(d)]
         pair_m = [datum.pairing(amta, b) for b in h0]
         for comp in range(d):

@@ -4,15 +4,13 @@ acceptance-table runner.
 
 Batch only; artifacts are canonical JSON on stdout or a file, logs go to
 stderr.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage errors,
-3 precondition violations.  DYBAX_WORKERS > 1 fans the independent checks
-of `verify-suite` out to a process pool of at most one worker per core.
+3 precondition violations.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -251,16 +249,7 @@ def cmd_verify_suite(args):
     if args.n < 2:
         raise PreconditionError(f"--n {args.n} checks no family; need n >= 2")
     cases = family_cases(args.n)
-    text = os.environ.get("DYBAX_WORKERS", "1")
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"DYBAX_WORKERS={text!r} is not a positive integer")
-    workers = min(int(text), os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(family_check, cases)
-    else:
-        results = [family_check(c) for c in cases]
+    results = [family_check(c) for c in cases]
     payload = {"schema": serialize.SCHEMA, "kind": "verification-suite",
                "results": [{"family": k, "n": n, "X": x, "pass": ok}
                            for (k, n, x), ok in zip(cases, results)]}

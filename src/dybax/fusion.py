@@ -71,17 +71,6 @@ class DynOp:
             return DynOp(self.factors, self.mat * other.mat)
         return DynOp(self.factors, self.mat * other)
 
-    def __add__(self, other):
-        return DynOp(self.factors, self.mat + other.mat)
-
-    def __sub__(self, other):
-        return DynOp(self.factors, self.mat - other.mat)
-
-    def __eq__(self, other):
-        if not isinstance(other, DynOp):
-            return NotImplemented
-        return self.mat == other.mat
-
     def inverse(self):
         return DynOp(self.factors, self.mat.inverse())
 

@@ -65,10 +65,10 @@ class Mat:
             for j, v in row.items():
                 yield i, j, v
 
-    def map(self, fn, ctx=None):
-        """The matrix of fn(entry), over ctx (default: this matrix's
-        field), with the entries that fn sends to zero dropped."""
-        out = Mat(self.nrows, self.ncols, ctx or self.ctx)
+    def map(self, fn):
+        """The matrix of fn(entry) over this matrix's field, with the
+        entries that fn sends to zero dropped."""
+        out = Mat(self.nrows, self.ncols, self.ctx)
         for i, row in self.rows.items():
             image = {}
             for j, v in row.items():

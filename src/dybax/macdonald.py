@@ -74,22 +74,11 @@ class DiffOp:
                 out._add(nu, m1 * self._shift_mat(m2, nu1))
         return out
 
-    def __add__(self, other):
-        out = DiffOp(self.ctx, self.dim, dict(self.terms))
-        for nu, m in other.terms.items():
-            out._add(nu, m)
-        return out
-
     def __sub__(self, other):
         out = DiffOp(self.ctx, self.dim, dict(self.terms))
         for nu, m in other.terms.items():
             out._add(nu, -m)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOp):
-            return NotImplemented
-        return (self - other).is_zero
 
     @property
     def is_zero(self):

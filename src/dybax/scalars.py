@@ -25,16 +25,14 @@ ZZ: numerator and denominator are coprime in Z[gens], their integer contents
 are coprime and the denominator's leading coefficient is positive, so two
 Scalars are equal iff their representations are identical.
 
-Field operations keep this form without a polynomial gcd whenever both
-operands have a factored view of their denominator (``FactorBase``): a
-positive integer times a product of irreducible polynomials interned once
-per Context.  A product then trial-divides each numerator by the other
-denominator's factors, and a sum trial-divides the lifted sum by the factors
-of the common denominator; one integer gcd settles the contents.  The
-catalog's denominators are products of a few irreducibles such as t_a - t_b
-and s^k t_a - t_b, so nearly every operation takes this path.  An operand
-without a view goes through sympy's ``cancel``, which also serves the tests
-as the reference.
+Field operations keep this form without a polynomial gcd: every
+denominator has a factored view (``FactorBase``), a positive integer times a
+product of irreducible polynomials interned once per Context.  A product
+trial-divides each numerator by the other denominator's factors, and a sum
+trial-divides the lifted sum by the factors of the common denominator; one
+integer gcd settles the contents.  A polynomial is factored once, when its
+view is first asked for; sympy's ``cancel`` serves the tests as the
+reference.
 
 Only this module branches on how lambda is encoded: others read it through
 ``Context.coordinate`` and ``Context.coordinate_value`` and move it by
@@ -50,6 +48,7 @@ from math import gcd, lcm
 from weakref import WeakSet
 
 from sympy.polys.domains import QQ, ZZ
+from sympy.polys.factortools import dup_factor_list
 from sympy.polys.fields import field as _sym_field
 from sympy.polys.matrices import DomainMatrix
 
@@ -93,8 +92,7 @@ class Context:
         # the same polynomials over QQ, where the Taylor shifts run
         self._qq_ring = self.field.ring.clone(domain=QQ)
         self.factors = FactorBase(self.field.ring)
-        # operations served by the factored path and by sympy's gcd path
-        self.op_counts = {"mul": [0, 0], "add": [0, 0], "div": [0, 0]}
+        self.op_counts = {"mul": 0, "add": 0, "div": 0}
         self.zero = Scalar(self, self.field.zero)
         self.one = Scalar(self, self.field.one)
         _CONTEXTS.add(self)
@@ -103,12 +101,9 @@ class Context:
         return f"Context({self.mode}, n={self.n})"
 
     def stats(self):
-        """Operation counts by path and the size of the factor base."""
-        out = {"context": f"{self.mode} n={self.n}" + "".join(f" {x}" for x in self.extra)}
-        for op, (factored, by_gcd) in self.op_counts.items():
-            out[op] = {"factored": factored, "gcd": by_gcd}
-        out["factors"] = len(self.factors.factors)
-        return out
+        """Operation counts and the size of the factor base."""
+        return {"context": f"{self.mode} n={self.n}" + "".join(f" {x}" for x in self.extra),
+                **self.op_counts, "factors": len(self.factors.factors)}
 
     def gen(self, name):
         return Scalar(self, self._gens[name])
@@ -229,11 +224,11 @@ class FactorBase:
     view is D's factorisation and a polynomial is coprime to D iff no factor
     of the view divides it and its content is coprime to c.
 
-    ``view`` never factors: it splits off the integer content and the
-    monomial part, trial-divides by the factors interned so far, and interns
-    what is left only if ``_certified_irreducible`` holds for it.  Both
-    outcomes are cached per polynomial, so a denominator without a view
-    costs its failed trial divisions once.
+    ``view`` splits off the integer content, trial-divides by the factors
+    interned so far and factors what is left (``_irreducible_factors``),
+    once per polynomial.  ``intern_images`` hands the images of interned
+    factors under a monomial automorphism on, so that trial division alone
+    builds the view of a moved denominator.
     """
 
     def __init__(self, ring):
@@ -241,7 +236,7 @@ class FactorBase:
         self.factors = []
         self._records = []       # per factor: (degrees, lead, lead coeff, other terms)
         self._index = {}         # factor -> its index
-        self._views = {}         # polynomial -> view, or None when it has none
+        self._views = {}         # polynomial -> view
         self._expanded = {}      # view -> polynomial
 
     def _intern(self, poly):
@@ -255,15 +250,24 @@ class FactorBase:
         return index
 
     def view(self, poly):
-        """The view of poly (positive leading coefficient), or None."""
+        """The view of poly (positive leading coefficient)."""
         try:
             return self._views[poly]
         except KeyError:
             pass
         view = self._views[poly] = self._build(poly)
-        if view is not None:
-            self._expanded.setdefault(view, poly)
+        self._expanded.setdefault(view, poly)
         return view
+
+    def intern_images(self, view, images, negated=()):
+        """Intern the images of the factors of a view under the automorphism
+        of ``Scalar._moved``.  A Laurent ring automorphism maps an
+        irreducible to an irreducible, and a generator to a unit."""
+        for i, _ in view[1]:
+            if self._records[i][3]:
+                factor = self.factors[i]
+                image = factor.new(_lowered(_monomial_terms(factor, images, negated)))
+                self._intern(image if image.LC > 0 else -image)
 
     def expand(self, view):
         """The polynomial of a view."""
@@ -281,20 +285,10 @@ class FactorBase:
         if c != 1:
             poly = poly.quo_ground(c)
         exps = {}
-        low = tuple(map(min, zip(*poly)))
-        if any(low):
-            for j, e in enumerate(low):
-                if e:
-                    exps[self._intern(self.ring.gens[j])] = e
-            poly = poly.new({tuple(a - b for a, b in zip(m, low)): k for m, k in poly.items()})
+        poly = self._divide_out(poly, dict.fromkeys(range(len(self.factors))), exps)
         if not poly.is_ground:
-            # poly has no monomial factor left, so only the others can divide it
-            limits = {i: None for i, record in enumerate(self._records) if record[3]}
-            poly = self._divide_out(poly, limits, exps)
-        if not poly.is_ground:
-            if not _certified_irreducible(poly):
-                return None
-            exps[self._intern(poly)] = 1
+            for factor, e in _irreducible_factors(poly):
+                exps[self._intern(factor)] = e
         return _view(c, exps)
 
     def _divide_out(self, poly, limits, found=None):
@@ -346,7 +340,7 @@ class FactorBase:
             c = lcm(va[0], vb[0])
             num = (self._lift(na, va[0], ea, c, exps) + self._lift(nb, vb[0], eb, c, exps))
         if not num:
-            return num, None
+            return num, (1, ())
         num = self._divide_out(num, exps)
         return _reduce_content(num, c, exps)
 
@@ -395,26 +389,61 @@ def _exact_quotient(poly, record):
     return poly.new(quo)
 
 
-def _certified_irreducible(poly):
-    """True if poly is primitive, has no monomial factor and, for some
-    generator x, is A*x + B with A or B a single term (A, B free of x).
+def _lowered(terms, low=None):
+    """The terms {exponents: coefficient} divided by the monomial x^low
+    (default: their greatest common monomial, negative exponents included)."""
+    if low is None:
+        low = tuple(map(min, zip(*terms)))
+    return {tuple(a - b for a, b in zip(m, low)): c for m, c in terms.items()}
 
-    Then poly is irreducible in Z[gens]: in a factorisation one factor is
-    free of x, so it divides A and B; dividing a single term, it is a term
-    itself, and poly has no term factor but +-1 (Gauss's lemma)."""
-    if poly.is_ground or gcd(*poly.values()) != 1 or any(map(min, zip(*poly))):
-        return False
-    for column in zip(*poly):
-        if max(column) == 1:
-            ones = sum(column)
-            if ones == 1 or len(column) - ones == 1:
-                return True
-    return False
+
+def _irreducible_factors(poly):
+    """The irreducible factors of a nonzero poly in Z[gens] with their
+    multiplicities, each primitive with positive leading coefficient.
+
+    After its monomial factor, poly is x^m P(x^e) if every exponent
+    difference of its terms is a multiple of one primitive vector e (a
+    binomial always is); a monomial change of coordinates on the Laurent
+    torus sends x^e to one generator and keeps each factor irreducible, so
+    poly factors as P in one variable.  Any other poly goes to sympy's
+    ``factor_list``."""
+    low = tuple(map(min, zip(*poly)))
+    out = [(poly.ring.gens[j], k) for j, k in enumerate(low) if k]
+    terms = _lowered(poly, low)
+    if len(terms) == 1:
+        return out
+    line = _on_a_line(list(terms))
+    if line is None:
+        factors = poly.new(terms).factor_list()[1]
+    else:
+        e, ks = line
+        top = max(ks)
+        dense = [ZZ(0)] * (top - min(ks) + 1)      # P, highest degree first
+        for c, k in zip(terms.values(), ks):
+            dense[top - k] = c
+        plus, minus = [max(x, 0) for x in e], [max(-x, 0) for x in e]
+        # g[i] is the coefficient of y^(deg g - i), and y = x^plus / x^minus
+        factors = [(poly.new({tuple((len(g) - 1 - i) * a + i * b
+                                    for a, b in zip(plus, minus)): c
+                              for i, c in enumerate(g) if c}), k)
+                   for g, k in dup_factor_list(dense, ZZ)[1]]
+    return out + [(f if f.LC > 0 else -f, k) for f, k in factors]
+
+
+def _on_a_line(monomials):
+    """(e, ks) with monomials[i] = monomials[0] + ks[i] * e for a primitive
+    vector e, or None if the (at least two) monomials are not on a line."""
+    diffs = [[a - b for a, b in zip(m, monomials[0])] for m in monomials]
+    step = diffs[1]
+    e = [x // gcd(*step) for x in step]
+    j = next(i for i, x in enumerate(e) if x)
+    ks = [d[j] // e[j] for d in diffs]
+    if any(x != k * y for d, k in zip(diffs, ks) for x, y in zip(d, e)):
+        return None
+    return e, ks
 
 
 def _from_view(ctx, num, view):
-    if view is None:
-        return ctx.zero
     return Scalar(ctx, ctx.field.raw_new(num, ctx.factors.expand(view)), view)
 
 
@@ -429,7 +458,7 @@ class Scalar:
         self._view = view
 
     def denominator_view(self):
-        """The FactorBase view of the denominator, or None if it has none."""
+        """The FactorBase view of the denominator."""
         view = self._view
         if view is _UNSET:
             view = self._view = self.ctx.factors.view(self.f.denom)
@@ -466,36 +495,27 @@ class Scalar:
 
     def _product(self, other, op):
         ctx = self.ctx
+        ctx.op_counts[op] += 1
         if not self.f or not other.f:
-            ctx.op_counts[op][0] += 1
             return ctx.zero
-        va, vb = self.denominator_view(), other.denominator_view()
-        if va is None or vb is None:
-            ctx.op_counts[op][1] += 1
-            return Scalar(ctx, self.f * other.f)
-        ctx.op_counts[op][0] += 1
-        return _from_view(ctx, *ctx.factors.product(self.f.numer, va, other.f.numer, vb))
+        return _from_view(ctx, *ctx.factors.product(self.f.numer, self.denominator_view(),
+                                                    other.f.numer, other.denominator_view()))
 
     def _sum(self, other, sign):
         ctx = self.ctx
         g = other.f if sign > 0 else -other.f
+        ctx.op_counts["add"] += 1
         if not g or not self.f:
-            ctx.op_counts["add"][0] += 1
             return self if not g else Scalar(ctx, g, other._view)
-        va, vb = self.denominator_view(), other.denominator_view()
-        if va is None or vb is None:
-            ctx.op_counts["add"][1] += 1
-            return Scalar(ctx, self.f + g)
-        ctx.op_counts["add"][0] += 1
-        return _from_view(ctx, *ctx.factors.sum(self.f.numer, va, g.numer, vb))
+        return _from_view(ctx, *ctx.factors.sum(self.f.numer, self.denominator_view(),
+                                                g.numer, other.denominator_view()))
 
     def _inverse(self):
-        """1 / self (self nonzero), with the view of its denominator if
-        self's numerator has one."""
+        """1 / self (self nonzero)."""
         num, den = self.f.numer, self.f.denom
         if num.LC < 0:
             num, den = -num, -den
-        return Scalar(self.ctx, self.f.raw_new(den, num), self.ctx.factors.view(num))
+        return Scalar(self.ctx, self.f.raw_new(den, num))
 
     def __pow__(self, k):
         if k < 0:
@@ -503,7 +523,7 @@ class Scalar:
                 raise ZeroDivisionError("negative power of zero Scalar")
             return self._inverse() ** -k
         view = self._view
-        if view is not _UNSET and view is not None:
+        if view is not _UNSET:
             view = _view(view[0] ** k, {i: e * k for i, e in view[1]})
         return Scalar(self.ctx, self.f ** k, view)
 
@@ -575,7 +595,7 @@ class Scalar:
                 for j in range(len(names))]
         if abs(DomainMatrix(rows, (len(names), len(names)), ZZ).det()) != 1:
             raise ScalarError("monomial substitution is not an automorphism")
-        return Scalar(self.ctx, _monomial_image(self.f, images))
+        return self._moved(self.f, images)
 
     def diff_lambda(self, i, eps=None):
         """Exact partial derivative along lambda_{i+1}.
@@ -654,8 +674,29 @@ class Scalar:
                 images[index(x)] = image
         if images:
             negated = [index(x) for x in coords] if sign < 0 and not quantum else ()
-            f = _monomial_image(f, images, negated)
+            return self._moved(f, images, negated)
         return self if f is self.f else Scalar(ctx, f)
+
+    def _moved(self, f, images, negated=()):
+        """f (self.f or its Taylor shift) under the ring automorphism sending
+        generator j to the Laurent monomial with exponent vector images[j]
+        (other generators are fixed), times -1 for j in negated.
+
+        Monomials and +-1 are the only units of the Laurent ring, and the
+        integer coefficients only move between monomials, so the images of
+        the coprime numerator and denominator are coprime up to their common
+        monomial factor.  That factor (negative exponents included) is
+        divided out and the denominator's leading coefficient made positive,
+        as sympy's cancel would: no gcd is taken.  When f is self.f and its
+        view is built, the images of its denominator factors are interned."""
+        if f is self.f and self._view is not _UNSET:
+            self.ctx.factors.intern_images(self._view, images, negated)
+        sides = [_monomial_terms(poly, images, negated) for poly in (f.numer, f.denom)]
+        low = tuple(map(min, zip(*sides[0], *sides[1])))
+        num, den = (f.numer.new(_lowered(side, low)) for side in sides)
+        if den.LC < 0:
+            num, den = -num, -den
+        return Scalar(self.ctx, f.raw_new(num, den))
 
     def gamma_expand(self, order):
         """Expand at lambda -> lambda/gamma (and q = exp(-e*gamma/2)) through
@@ -702,40 +743,22 @@ def _rational_terms(poly):
     return [(monom, Fraction(int(c))) for monom, c in poly.terms()]
 
 
-def _monomial_image(f, images, negated=()):
-    """f under the ring automorphism sending generator j to the Laurent
-    monomial with exponent vector images[j] (other generators are fixed),
-    times -1 for j in negated.
-
-    Monomials and +-1 are the only units of the Laurent ring, and the
-    integer coefficients only move between monomials, so the images of the
-    coprime numerator and denominator are coprime up to their common
-    monomial factor.  That factor (negative exponents included) is divided
-    out and the denominator's leading coefficient made positive, as sympy's
-    cancel would: no gcd is taken."""
-    moved = list(images.items())
-    sides = []
-    for poly in (f.numer, f.denom):
-        side = {}
-        for monom, c in poly.items():
-            if negated and sum(monom[j] for j in negated) % 2:
-                c = -c
-            new = list(monom)
-            for j, image in moved:
-                e = monom[j]
-                if e:
-                    new[j] -= e
-                    for k, x in enumerate(image):
-                        new[k] += e * x
-            side[tuple(new)] = c
-        sides.append(side)
-    low = [min(exps) for exps in zip(*sides[0], *sides[1])]
-    num, den = ({tuple(a - b for a, b in zip(monom, low)): c for monom, c in side.items()}
-                for side in sides)
-    num, den = f.numer.new(num), f.denom.new(den)
-    if den.LC < 0:
-        num, den = -num, -den
-    return f.raw_new(num, den)
+def _monomial_terms(poly, images, negated=()):
+    """The terms {exponents: coefficient} of poly under the automorphism of
+    ``Scalar._moved``, exponents possibly negative."""
+    out = {}
+    for monom, c in poly.items():
+        if negated and sum(monom[j] for j in negated) % 2:
+            c = -c
+        new = list(monom)
+        for j, image in images.items():
+            e = monom[j]
+            if e:
+                new[j] -= e
+                for k, x in enumerate(image):
+                    new[k] += e * x
+        out[tuple(new)] = c
+    return out
 
 
 def _taylor_shift(ctx, f, shifts):

@@ -46,9 +46,6 @@ class ResidualReport:
     witness: Optional[Tuple] = None
     entries_checked: int = 0
 
-    def __bool__(self):
-        return self.exact_zero
-
     def to_dict(self):
         out = {
             "equation": self.equation,

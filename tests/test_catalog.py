@@ -5,6 +5,7 @@ from dybax.catalog import (
     CatalogError,
     InvalidSubalgebraError,
     InvalidTripleError,
+    _solve_r0,
     appendixA_r,
     basic_rational_r,
     basic_trig_r,
@@ -199,6 +200,21 @@ def test_appendixA_nontrivial_triple():
     datum = build_type_A(3, "gl")
     tri = BDTriple(datum, [0], [1], {0: 1}, [(1, 0, -1), (1, 1, 1)])
     r = appendixA_r(tri)
+    assert cdybe_residual(r).exact_zero
+    assert unitarity_check(r, 1).exact_zero
+
+
+@pytest.mark.parametrize("n,gamma1,gamma2,l_basis", [
+    (3, [0], [1], [(1, 1, 1)]),
+    (4, [0], [1], [(1, 1, 1, 1)]),
+    (4, [0], [2], [(1, 1, 1, 1)]),
+    (4, [0, 1], [1, 2], [(1, 1, 1, 1)]),
+    (4, [0], [1], [(1, 1, 1, 1), (1, 1, 1, -3)]),
+])
+def test_appendixA_with_nonzero_r0(n, gamma1, gamma2, l_basis):
+    tri = BDTriple(build_type_A(n, "gl"), gamma1, gamma2, dict(zip(gamma1, gamma2)), l_basis)
+    r = appendixA_r(tri)
+    assert _solve_r0(tri, r.ctx)
     assert cdybe_residual(r).exact_zero
     assert unitarity_check(r, 1).exact_zero
 

@@ -1,6 +1,4 @@
 import json
-import multiprocessing
-import os
 
 import pytest
 
@@ -56,7 +54,7 @@ def test_stats_go_to_stderr_only(capsys):
     assert captured.out == out
     stats = json.loads(captured.err.strip().splitlines()[-1])["scalars"]
     row = next(r for r in stats if r["context"] == "quantum n=3")
-    assert row["mul"]["factored"] > 0 and row["factors"] > 0
+    assert row["mul"] > 0 and row["factors"] > 0
     assert set(row) == {"context", "mul", "add", "div", "factors"}
 
 
@@ -305,45 +303,3 @@ def test_malformed_input_is_a_usage_error(capsys, line, named):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert named in captured.err
-
-
-class _RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
-    sizes = []
-
-    def __init__(self, processes):
-        self.sizes.append(processes)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return [fn(x) for x in items]
-
-
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Pool sizes verify-suite asks for, on a 4-core machine; starts no process."""
-    monkeypatch.setattr(multiprocessing, "Pool", _RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
-    return _RecordingPool.sizes
-
-
-@pytest.mark.parametrize("value,sizes", [("1000", [4]), ("3", [3]), ("1", [])])
-def test_dybax_workers_is_capped_at_the_core_count(capsys, monkeypatch, pool_sizes,
-                                                    value, sizes):
-    monkeypatch.setenv("DYBAX_WORKERS", value)
-    code, _ = run_cli(capsys, ["verify-suite", "--n", "2"])
-    assert code == 0 and pool_sizes == sizes
-
-
-@pytest.mark.parametrize("value", ["0", "-2", "two", "1.5", ""])
-def test_dybax_workers_must_be_a_positive_integer(capsys, monkeypatch, pool_sizes,
-                                                  value):
-    monkeypatch.setenv("DYBAX_WORKERS", value)
-    code, out = run_cli(capsys, ["verify-suite", "--n", "2"])
-    assert code == 2 and out == "" and pool_sizes == []

@@ -1,23 +1,29 @@
 """The factored Scalar arithmetic against sympy's cancel.
 
-`Scalar` multiplies, adds and divides without a polynomial gcd when both
-operands have a factored denominator view.  Here every operation is wrapped
-so that its result is compared with sympy's own `FracElement` operation on
-the same operands, over package jobs of every layer that computes with
-Scalars, and over random fractions built from interned factors.
+`Scalar` multiplies, adds and divides without a polynomial gcd over the
+factored views of its denominators.  Here every operation is wrapped so that
+its result is compared with sympy's own `FracElement` operation on the same
+operands, over package jobs of every layer that computes with Scalars, and
+over random fractions built from interned factors.  The factoring behind the
+views is compared with sympy's `factor_list`.
 """
+
+from collections import Counter
 
 import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from sympy.polys.rings import PolyElement
 
 from dybax import catalog, fusion, macdonald, reps, rootdata, verify
 from dybax.scalars import (
+    QUANTUM,
+    Context,
     Scalar,
-    _UNSET,
-    _certified_irreducible,
+    _irreducible_factors,
     classical_ctx,
     context_stats,
     quantum_ctx,
@@ -49,8 +55,8 @@ def oracle(monkeypatch):
             out = fast(self, other)
             want = reference(self.f, self.ctx(other).f)
             assert (out.f.numer, out.f.denom) == (want.numer, want.denom), (name, self, other)
-            if out._view is not _UNSET and out._view is not None:
-                assert out.ctx.factors.expand(out._view) == out.f.denom
+            view = out.denominator_view()
+            assert view is not None and out.ctx.factors.expand(view) == out.f.denom
             checked["ops"] += 1
             return out
         monkeypatch.setattr(Scalar, name, wrapped)
@@ -58,7 +64,7 @@ def oracle(monkeypatch):
 
 
 def factored_ops():
-    return sum(row[op]["factored"] for row in context_stats() for op in ("mul", "add", "div"))
+    return sum(row[op] for row in context_stats() for op in ("mul", "add", "div"))
 
 
 def check(oracle, job):
@@ -152,8 +158,6 @@ def test_field_operations_match_sympy(mode, data):
     a, b = data.draw(factored_fractions(mode)), data.draw(factored_fractions(mode))
     k = data.draw(st.integers(-3, 3))
     a, b = Scalar(ctx, a.f), Scalar(ctx, b.f)    # views built afresh, not inherited
-    # every denominator is a product of factors the strategy interned
-    assert a.denominator_view() is not None and b.denominator_view() is not None
     kf = ctx(k).f
     assert same(a * b, a.f * b.f)
     assert same(a + b, a.f + b.f)
@@ -170,46 +174,66 @@ def test_field_operations_match_sympy(mode, data):
 
 
 @st.composite
-def degree_one_polynomials(draw, mode):
-    """A*x + B with A or B one term, A and B free of the generator x."""
-    ctx, gens, _ = FIELDS[mode]
-    x = draw(st.sampled_from(gens))
-    rest = [g for g in ctx.var_names if g != x]
-
-    def part(single):
-        out = ctx.zero
-        for _ in range(1 if single else draw(st.integers(1, 3))):
-            term = ctx(draw(st.integers(-4, 4).filter(bool)))
-            for g in rest:
-                term = term * ctx.gen(g) ** draw(st.integers(0, 2))
-            out = out + term
-        return out
-    single_a = draw(st.booleans())
-    a, b = part(single_a), part(not single_a)
-    assume(a and b)
-    return (a * ctx.gen(x) + b).f.numer
+def factorable_polynomials(draw, mode):
+    """A monomial times P(x^e) for random P and primitive e (negative
+    entries cleared by a monomial) and degree-one polynomials."""
+    ctx = FIELDS[mode][0]
+    ring = ctx.field.ring
+    k = ring.ngens
+    out = ring.one
+    for g in ring.gens:
+        out *= g ** draw(st.integers(0, 2))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=2, max_size=4))
+            e = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+                     .filter(lambda v: gcd(*v) == 1))
+            plus, minus = [max(x, 0) for x in e], [max(-x, 0) for x in e]
+            d = len(coeffs) - 1
+            factor = ring({tuple(i * a + (d - i) * b for a, b in zip(plus, minus)): c
+                           for i, c in enumerate(coeffs) if c})
+        else:
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=k + 1, max_size=k + 1))
+            factor = ring(coeffs[-1]) + sum((c * g for c, g in zip(coeffs, ring.gens)), ring.zero)
+        assume(factor)
+        out *= factor
+    return out
 
 
 @modes
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_certified_polynomials_are_irreducible(mode, data):
-    poly = data.draw(degree_one_polynomials(mode))
-    primitive = poly.content() == 1 and not any(map(min, zip(*poly))) and not poly.is_ground
-    assert _certified_irreducible(poly) == primitive
-    if primitive:
-        coeff, factors = poly.factor_list()
-        assert abs(coeff) == 1 and len(factors) == 1
-        assert factors[0][1] == 1 and factors[0][0] in (poly, -poly)
+def test_irreducible_factors_match_factor_list(mode, data):
+    poly = data.draw(factorable_polynomials(mode))
+    want = Counter((f if f.LC > 0 else -f, k) for f, k in poly.factor_list()[1])
+    assert Counter(_irreducible_factors(poly)) == want
 
 
-def test_products_of_factors_are_not_certified():
+@pytest.mark.parametrize("text", ["s**4 - 1", "t1**2 - t2**2", "s**8*t1**2 - t2**2",
+                                  "s**8 + s**4 + 1"])
+def test_binomial_denominators_get_a_view(text):
     ctx = quantum_ctx(2)
+    x = 1 / _factors(ctx, [text])[0]
+    view = x.denominator_view()
+    assert ctx.factors.expand(view) == x.f.denom
+    for i, _ in view[1]:
+        assert ctx.factors.factors[i].factor_list()[1] == [(ctx.factors.factors[i], 1)]
+
+
+@pytest.mark.parametrize("move", [lambda x: x.shift_lambda([1, 0]),
+                                  lambda x: x.monomial_subs({"t1": x.ctx.s ** 2 * x.ctx.t(0)})])
+def test_moved_denominators_need_no_factoring(monkeypatch, move):
+    # a fresh field, so that no image is interned before the move
+    ctx = Context(QUANTUM, 2)
     s, t1, t2 = ctx.s, ctx.t(0), ctx.t(1)
-    assert not _certified_irreducible((t1 ** 2 - t2 ** 2).f.numer)
-    assert not _certified_irreducible((s ** 4 - 1).f.numer)
-    assert (1 / (s ** 4 - 1)).denominator_view() is None
-    assert (1 / (t1 - t2)).denominator_view() is not None
+    x = 1 / ((t1 - s ** 2 * t2) * (t1 * t2 - s ** 2))
+    calls = []
+    factor_list = PolyElement.factor_list
+    monkeypatch.setattr(PolyElement, "factor_list",
+                        lambda poly: calls.append(poly) or factor_list(poly))
+    y = move(x)
+    assert ctx.factors.expand(y.denominator_view()) == y.f.denom
+    assert len(y.f.denom.terms()) == 4 and calls == []
 
 
 def test_negative_powers_are_canonical():

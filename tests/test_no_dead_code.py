@@ -13,11 +13,13 @@ Members of a class need a receiver: a method counts only through an
 attribute reference (`x.name`, or `Cls.name` in a dotted string), and a
 classmethod only through its own class or a subclass (`Cls.name`).
 
-Blind spot: instance methods are still matched by bare attribute name, with
+Blind spots: instance methods are still matched by bare attribute name, with
 no receiver type, so a dead method that shares its name with a live one
 (`inverse`, `copy`, `is_weight_zero` are each defined on several classes)
 passes.  Such methods are only found by checking the receiver of every call
-by hand.
+by hand.  Operator dunders (`__add__`, `__eq__`, `__bool__`, ...) are exempt
+with the other dunders, so one that no expression of the program reaches
+passes too; only a line trace of the runs finds it.
 
 Every name a top-level import of `src/` or `tests/` binds must be read by
 its module.
