@@ -30,9 +30,10 @@ denominator has a factored view (``FactorBase``), a positive integer times a
 product of irreducible polynomials interned once per Context.  A product
 trial-divides each numerator by the other denominator's factors, and a sum
 trial-divides the lifted sum by the factors of the common denominator; one
-integer gcd settles the contents.  A polynomial is factored once, when its
-view is first asked for; sympy's ``cancel`` serves the tests as the
-reference.
+integer gcd settles the contents.  A trial division that the values at one
+integer point rule out is skipped, which is exact.  A polynomial is factored
+once, when its view is first asked for; sympy's ``cancel`` serves the tests
+as the reference.
 
 Only this module branches on how lambda is encoded: others read it through
 ``Context.coordinate`` and ``Context.coordinate_value`` and move it by
@@ -44,9 +45,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from weakref import WeakSet
 
+from sympy.ntheory import nextprime
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.fields import field as _sym_field
@@ -91,8 +93,8 @@ class Context:
         self._gens = {name: g for name, g in zip(names, created[1:])}
         # the same polynomials over QQ, where the Taylor shifts run
         self._qq_ring = self.field.ring.clone(domain=QQ)
-        self.factors = FactorBase(self.field.ring)
-        self.op_counts = {"mul": 0, "add": 0, "div": 0}
+        self.op_counts = {"mul": 0, "add": 0, "div": 0, "divisions": 0, "screened": 0}
+        self.factors = FactorBase(self.field.ring, self.op_counts)
         self.zero = Scalar(self, self.field.zero)
         self.one = Scalar(self, self.field.one)
         _CONTEXTS.add(self)
@@ -101,7 +103,7 @@ class Context:
         return f"Context({self.mode}, n={self.n})"
 
     def stats(self):
-        """Operation counts and the size of the factor base."""
+        """Operation counts, trial divisions run and screened, factor count."""
         return {"context": f"{self.mode} n={self.n}" + "".join(f" {x}" for x in self.extra),
                 **self.op_counts, "factors": len(self.factors.factors)}
 
@@ -229,12 +231,20 @@ class FactorBase:
     once per polynomial.  ``intern_images`` hands the images of interned
     factors under a monomial automorphism on, so that trial division alone
     builds the view of a moved denominator.
+
+    Trial division is screened at one integer point a, a_j the least prime
+    from 1009 * 4^j up: f | p in Z[gens] gives f(a) | p(a), so a division by
+    a non-generator f with f(a) != 0 and p(a) mod f(a) != 0 cannot succeed
+    and is skipped.  Distinct primes keep distinct monomials apart at a, and
+    the spacing keeps linear forms such as l1 - l2 + c large.
     """
 
-    def __init__(self, ring):
+    def __init__(self, ring, counts):
         self.ring = ring
+        self.counts = counts     # the Context's op_counts
+        self.point = [nextprime(1009 * 4 ** j - 1) for j in range(ring.ngens)]
         self.factors = []
-        self._records = []       # per factor: (degrees, lead, lead coeff, other terms)
+        self._records = []       # per factor: (degrees, lead, lead coeff, other terms, f(a))
         self._index = {}         # factor -> its index
         self._views = {}         # polynomial -> view
         self._expanded = {}      # view -> polynomial
@@ -246,7 +256,8 @@ class FactorBase:
             self.factors.append(poly)
             lead = max(poly)
             self._records.append((poly.degrees(), lead, poly[lead],
-                                  [(m, c) for m, c in poly.items() if m != lead]))
+                                  [(m, c) for m, c in poly.items() if m != lead],
+                                  _value(poly, self.point)))
         return index
 
     def view(self, poly):
@@ -294,23 +305,32 @@ class FactorBase:
     def _divide_out(self, poly, limits, found=None):
         """poly divided by factor i up to limits[i] times (None: no limit)
         for each i; lowers ``limits`` by the exponents taken and adds them to
-        ``found``.  A factor of higher degree in some generator is skipped."""
-        degrees = None
+        ``found``.  A factor of higher degree in some generator, or ruled out
+        at the integer point, is skipped."""
+        degrees = value = None
         for i, limit in limits.items():
             if limit == 0:
                 continue
             if degrees is None:
                 degrees = poly.degrees()
             record = self._records[i]
+            at = record[4]
             taken = 0
             while limit is None or taken < limit:
                 if any(map(int.__gt__, record[0], degrees)):
                     break
+                if record[3] and at:
+                    value = _value(poly, self.point) if value is None else value
+                    if value % at:
+                        self.counts["screened"] += 1
+                        break
+                self.counts["divisions"] += 1
                 quotient = _exact_quotient(poly, record)
                 if quotient is None:
                     break
                 poly, taken = quotient, taken + 1
                 degrees = poly.degrees()
+                value = value // at if at and value is not None else None
             if taken:
                 if found is not None:
                     found[i] = found.get(i, 0) + taken
@@ -365,7 +385,7 @@ def _exact_quotient(poly, record):
     """poly / f for the factor f of the record if f divides poly in
     Z[gens], else None.  The division runs on lex-leading terms and stops at
     the first one that f's leading term does not divide."""
-    _, lead, lead_c, rest = record
+    _, lead, lead_c, rest, _ = record
     if not rest:        # a generator: shift every exponent
         quo = {tuple(a - b for a, b in zip(m, lead)): c for m, c in poly.items()}
         return None if any(min(m) < 0 for m in quo) else poly.new(quo)
@@ -389,6 +409,11 @@ def _exact_quotient(poly, record):
     return poly.new(quo)
 
 
+def _value(poly, point):
+    """poly at the integer point."""
+    return sum(c * prod(map(pow, point, m)) for m, c in poly.items())
+
+
 def _lowered(terms, low=None):
     """The terms {exponents: coefficient} divided by the monomial x^low
     (default: their greatest common monomial, negative exponents included)."""
@@ -405,7 +430,9 @@ def _irreducible_factors(poly):
     difference of its terms is a multiple of one primitive vector e (a
     binomial always is); a monomial change of coordinates on the Laurent
     torus sends x^e to one generator and keeps each factor irreducible, so
-    poly factors as P in one variable.  Any other poly goes to sympy's
+    poly factors as P in one variable.  Any other poly first splits off its
+    content in one generator (the gcd of its coefficients over the others);
+    what is left is irreducible if of degree one, else goes to sympy's
     ``factor_list``."""
     low = tuple(map(min, zip(*poly)))
     out = [(poly.ring.gens[j], k) for j, k in enumerate(low) if k]
@@ -414,7 +441,13 @@ def _irreducible_factors(poly):
         return out
     line = _on_a_line(list(terms))
     if line is None:
-        factors = poly.new(terms).factor_list()[1]
+        poly = poly.new(terms)
+        for x in poly.ring.gens:
+            content = poly.drop_to_ground(x).content().set_ring(poly.ring)
+            if not content.is_ground:
+                return (out + _irreducible_factors(content)
+                        + _irreducible_factors(poly.exquo(content)))
+        factors = [(poly.primitive()[1], 1)] if poly.is_linear else poly.factor_list()[1]
     else:
         e, ks = line
         top = max(ks)

@@ -5,7 +5,8 @@ factored views of its denominators.  Here every operation is wrapped so that
 its result is compared with sympy's own `FracElement` operation on the same
 operands, over package jobs of every layer that computes with Scalars, and
 over random fractions built from interned factors.  The factoring behind the
-views is compared with sympy's `factor_list`.
+views is compared with sympy's `factor_list`, and the integer-point screen of
+trial division with the divisions it skips.
 """
 
 from collections import Counter
@@ -18,12 +19,15 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from sympy.polys.rings import PolyElement
 
-from dybax import catalog, fusion, macdonald, reps, rootdata, verify
+from dybax import catalog, fusion, macdonald, reps, rootdata, scalars, verify
 from dybax.scalars import (
     QUANTUM,
     Context,
+    FactorBase,
     Scalar,
+    _exact_quotient,
     _irreducible_factors,
+    _value,
     classical_ctx,
     context_stats,
     quantum_ctx,
@@ -209,6 +213,20 @@ def test_irreducible_factors_match_factor_list(mode, data):
     assert Counter(_irreducible_factors(poly)) == want
 
 
+def test_one_variable_content_needs_no_factor_list(monkeypatch):
+    ring = quantum_ctx(2).field.ring
+    s, t1, t2 = ring.gens
+    calls = []
+    factor_list = PolyElement.factor_list
+    monkeypatch.setattr(PolyElement, "factor_list",
+                        lambda poly: calls.append(poly) or factor_list(poly))
+    for poly in ((s**4 - t1**2) * (s**4 + 1), (s**8 - t1**2) * (s**8 + s**4 + 1),
+                 (t1 - t2 + 3) * (t1 + 1) ** 2 * (s - 1)):
+        want = Counter((f if f.LC > 0 else -f, k) for f, k in factor_list(poly)[1])
+        assert Counter(_irreducible_factors(poly)) == want
+    assert calls == []
+
+
 @pytest.mark.parametrize("text", ["s**4 - 1", "t1**2 - t2**2", "s**8*t1**2 - t2**2",
                                   "s**8 + s**4 + 1"])
 def test_binomial_denominators_get_a_view(text):
@@ -241,3 +259,65 @@ def test_negative_powers_are_canonical():
     t = ctx.t(0)
     assert (1 - t) ** -1 == 1 / (1 - t)
     assert ((1 - t) ** -3).f.denom.LC > 0
+
+
+# -- the integer-point screen of trial division --------------------------------
+
+@st.composite
+def polynomials(draw, ring):
+    """A nonzero polynomial of one to four terms with small coefficients."""
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * ring.ngens),
+        st.integers(-5, 5).filter(bool), min_size=1, max_size=4))
+    return ring(terms)
+
+
+@modes
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_screen_skips_only_failing_divisions(mode, data):
+    ring = FIELDS[mode][0].field.ring
+    f, g, h = (data.draw(polynomials(ring)) for _ in range(3))
+    assume(not f.is_ground)
+    f = f.primitive()[1]
+    f = f if f.LC > 0 else -f
+    counts = {"divisions": 0, "screened": 0}
+    base = FactorBase(ring, counts)     # f may be reducible: keep it out of the fields
+    i = base._intern(f)
+    found = {}
+    assert base._divide_out(f * g, {i: 1}, found) == g and found == {i: 1}
+    assert counts["screened"] == 0
+    record, p = base._records[i], f * g + h
+    if record[4] and _value(p, base.point) % record[4]:
+        assert _exact_quotient(p, record) is None
+
+
+def test_a_factor_vanishing_at_the_point_still_divides():
+    ctx = Context(QUANTUM, 2)
+    s, t1, t2 = ctx.s, ctx.t(0), ctx.t(1)
+    a = ctx.factors.point
+    f = t1 - s - (a[1] - a[0])          # zero at the point
+    h = t1 + t2 + s
+    x = (t2 + 1) / (f * h)
+    values = {ctx.factors._records[i][4] for i, _ in x.denominator_view()[1]}
+    assert values == {0, _value(h.f.numer, a)}
+    assert x * (f * h) == t2 + 1 and x * h ** 2 * f ** 2 == (t2 + 1) * f * h
+
+
+def test_screen_skips_most_failing_divisions(monkeypatch):
+    # a fresh field for the quantum gl3 fusion, so that the counts do not
+    # depend on what other tests interned
+    ctx = Context(QUANTUM, 3)
+    monkeypatch.setattr(rootdata, "quantum_ctx", lambda n: ctx)
+    runs = Counter()        # (non-generator factor, failed) -> divisions run
+
+    def counted(poly, record):
+        out = _exact_quotient(poly, record)
+        runs[bool(record[3]), out is None] += 1
+        return out
+    monkeypatch.setattr(scalars, "_exact_quotient", counted)
+    v = reps.vector_rep(rootdata.build_type_A(3, "gl"), True)
+    fusion.fusion_exchange_construction(v, v)
+    stats = ctx.stats()
+    assert stats["divisions"] == sum(runs.values())
+    assert stats["screened"] > 0 and runs[True, True] <= 0.02 * stats["divisions"]
