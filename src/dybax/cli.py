@@ -147,6 +147,20 @@ OPTION_READERS = {
     "p": (3, ("hecke-rep",)),
 }
 
+# The same for the options of `macdonald` and the actions that read them;
+# a table of its own, since --n is no catalog option.
+MACDONALD_READERS = {
+    "n": (2, ("operator", "polynomial", "commute")),
+    "r": (1, ("operator",)),
+    "m": (0, ("operator", "polynomial", "commute", "corollary91")),
+    "mu": ("1,0", ("polynomial",)),
+    "depth": (3, ("trace-residual",)),
+    "order": (3, ("trace-residual",)),
+    "biorder": (2, ("trace-residual",)),
+}
+COMMAND_READERS = {"catalog": OPTION_READERS, "verify": OPTION_READERS,
+                   "limit": OPTION_READERS, "macdonald": MACDONALD_READERS}
+
 
 def cmd_datum(args):
     _emit(args, serialize.datum_json(_datum(args)))
@@ -293,7 +307,7 @@ def cmd_shapovalov(args):
 
 
 def cmd_macdonald(args):
-    if args.action != "trace-residual" and args.m < 0:
+    if args.m < 0:
         raise argparse.ArgumentTypeError(f"--m {args.m} is below 0")
     if args.action == "operator":
         if not 1 <= args.r <= args.n:
@@ -457,12 +471,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("catalog", "verify", "limit"):
-            read_by = {args.name, getattr(args, "equation", None)}
-            for dest, (default, readers) in OPTION_READERS.items():
-                if getattr(args, dest, default) != default and read_by.isdisjoint(readers):
-                    raise argparse.ArgumentTypeError(
-                        f"--{dest.replace('_', '-')} is read only by {', '.join(readers)}")
+        read_by = {getattr(args, key, None) for key in ("name", "equation", "action")}
+        for dest, (default, readers) in COMMAND_READERS.get(args.command, {}).items():
+            if getattr(args, dest, default) != default and read_by.isdisjoint(readers):
+                raise argparse.ArgumentTypeError(
+                    f"--{dest.replace('_', '-')} is read only by {', '.join(readers)}")
         return args.func(args)
     except (PreconditionError,) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)

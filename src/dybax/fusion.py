@@ -357,11 +357,9 @@ def shapovalov_vs_fusion(datum, depth, quantum=False):
     terms = universal_sl2_fusion(depth, quantum)
     residuals = []
     for j in range(depth + 1):
-        nu = (Fraction(2 * j),)
-        gram = sl.gram(nu)
-        s_j = gram[0, 0]
-        # the K-twist q^(-(lambda, nu) + j(j-1)), which is 1 classically
-        twist = datum.q_lambda_pairing(ctx, nu, factor=-1) * ctx.q_power(j * (j - 1))
+        s_j = sl.gram((j,))[0, 0]
+        # the K-twist q^(-(lambda, j alpha) + j(j-1)), which is 1 classically
+        twist = datum.q_lambda_pairing(ctx, datum.simple_roots[0], -j) * ctx.q_power(j * (j - 1))
         inv_side = ctx.from_fraction(Fraction((-1) ** j)) / s_j * twist
         # universal side: h-eigenvalue of e^j x^-_{-lambda} is -lambda + 2j
         uni = universal_sl2_at_zero(terms[j], ctx, 2 * j)
@@ -383,7 +381,7 @@ def singular_inverse_element(datum, depth, quantum=False):
         # e-action matrix element on f^j x_lambda from the slice itself
         vec = sl.act_simple("e", 0, {(0,) * j: ctx.one})
         ef = vec[(0,) * (j - 1)]
-        kinv = sl.k_inverse(0, (Fraction(2 * (j - 1)),))
+        kinv = sl.k_inverse(0, (j - 1,))
         coeffs.append(-coeffs[j - 1] * kinv / ef)
     return coeffs
 

@@ -16,10 +16,15 @@ space is spanned by the words of its Kostant partitions
 (`VermaSlice.weight_basis`), and coordinates in that basis come from one
 solve of the Shapovalov (contravariant) Gram system per block.
 
+A drop is a tuple of nonnegative ints, one multiplicity per simple root:
+the weight space at drop d has weight lambda + offset - sum_i d[i] alpha_i,
+its words have d[i] letters i, and its height sum(d) is the depth it needs.
+`drop_weight` gives the weight where a pairing or an aux weight block needs it.
+
 The intertwiner solve keeps the tensor structure of the singular condition:
-at each weight drop the unknown block is (words) x (aux weight space), the
-slice side acts on it as A (x) 1, and the drop is one multi-column solve
-A X = B whose right-hand side comes from the block one simple root below.
+at each drop the unknown block is (words) x (aux weight space), the slice
+side acts on it as A (x) 1, and the drop is one multi-column solve A X = B
+whose right-hand side comes from the block one simple root below.
 
 The contravariant form satisfies <f u, v> = <u, e v> with <x, x> = 1, and
 is nondegenerate at symbolic lambda, which is what makes the word
@@ -29,9 +34,11 @@ coordinates exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import product
 
 from .linalg import Mat
-from .rootdata import RootDatumError, weight_add, weight_scale, weight_sub
+from .rootdata import weight_add, weight_sub
 
 
 class VermaError(Exception):
@@ -40,13 +47,6 @@ class VermaError(Exception):
 
 class DegenerateWeightError(VermaError):
     """Singular intertwiner system; only possible at non-generic lambda."""
-
-
-def _height_or_none(datum, nu):
-    try:
-        return datum.root_height(nu)
-    except RootDatumError:
-        return None
 
 
 def _accumulate(vec, key, term):
@@ -60,8 +60,8 @@ def _accumulate(vec, key, term):
 
 
 def shapovalov_gram(slice_, nu):
-    """Gram matrix of the contravariant form on the weight space at drop nu,
-    in the slice's weight_basis(nu); both slice classes bind it as `gram`."""
+    """Gram matrix of the contravariant form on the weight space at the drop
+    nu, in the slice's weight_basis(nu); both slice classes bind it as `gram`."""
     keys = slice_.weight_basis(nu)
     g = Mat(len(keys), len(keys), slice_.ctx)
     for i, a in enumerate(keys):
@@ -74,81 +74,52 @@ def shapovalov_gram(slice_, nu):
 
 
 def enumerate_drops(datum, depth):
-    """All nonnegative integer combinations of simple roots of height <= depth,
-    in (height, coefficient-tuple) order."""
-    rank = datum.rank
-    out = []
+    """All drops of height <= depth, in (height, drop) order."""
+    drops = (c for c in product(range(depth + 1), repeat=datum.rank) if sum(c) <= depth)
+    return sorted(drops, key=lambda c: (sum(c), c))
 
-    def rec(i, coeffs, left):
-        if i == rank:
-            nu = datum.zero_weight
-            for c, alpha in zip(coeffs, datum.simple_roots):
-                nu = weight_add(nu, weight_scale(alpha, c))
-            out.append((sum(coeffs), tuple(coeffs), nu))
-            return
-        for c in range(left + 1):
-            rec(i + 1, coeffs + [c], left - c)
 
-    rec(0, [], depth)
-    out.sort(key=lambda t: (t[0], t[1]))
-    return [nu for _, _, nu in out]
+def drop_weight(datum, drop):
+    """The weight sum_i drop[i] alpha_i."""
+    return tuple(sum(c * x for c, x in zip(drop, coord)) for coord in zip(*datum.simple_roots))
+
+
+@cache
+def ordered_positive_roots(datum):
+    """The positive roots as drops, by height and then by drop."""
+    roots = (tuple(int(c) for c in datum.simple_coefficients(beta))
+             for beta in datum.positive_roots)
+    return tuple(sorted(roots, key=lambda b: (sum(b), b)))
 
 
 def root_partitions(datum, nu):
-    """Multisets of positive roots summing to nu, as exponent tuples over the
-    slice root order (height, then coordinates)."""
+    """Multisets of positive roots summing to the drop nu, as exponent tuples
+    over `ordered_positive_roots`, in increasing order."""
     roots = ordered_positive_roots(datum)
     results = []
 
     def rec(idx, residue, exps):
-        h = _height_or_none(datum, residue)
-        if h is None:
-            return
-        if h == 0:
-            if all(x == 0 for x in residue):
-                results.append(tuple(exps))
-            return
         if idx == len(roots):
+            if not any(residue):
+                results.append(exps)
             return
-        beta = roots[idx]
         m = 0
-        res = residue
-        while True:
-            rec(idx + 1, res, exps + [m])
-            res = weight_sub(res, beta)
+        while min(residue) >= 0:
+            rec(idx + 1, residue, exps + (m,))
+            residue = weight_sub(residue, roots[idx])
             m += 1
-            if _height_or_none(datum, res) is None:
-                break
 
-    rec(0, nu, [])
-    # pad exponent tuples to the full root list length
-    padded = []
-    for e in results:
-        padded.append(tuple(e) + (0,) * (len(roots) - len(e)))
-    return sorted(padded)
-
-
-def ordered_positive_roots(datum):
-    roots = list(datum.positive_roots)
-    roots.sort(key=lambda b: (datum.root_height(b), tuple(map(Fraction, b))))
-    return roots
-
-
-def _root_word(datum, beta):
-    """The word (a, a+1, ..., b-1) of the root eps_a - eps_b; (0,) for sl2."""
-    if datum.sl2_model:
-        return (0,)
-    a = next(k for k, x in enumerate(beta) if x > 0)
-    b = next(k for k, x in enumerate(beta) if x < 0)
-    return tuple(range(a, b))
+    rec(0, nu, ())
+    return results
 
 
 class VermaSlice:
-    """Depth-truncated Verma module on words in the simple f_i.
+    """Depth-truncated Verma module on words in the simple f_i, with weight
+    spaces indexed by drops.
 
     A flavour subclass supplies `cartan(i, drop)`, the scalar of [e_i, f_i]
-    on weight lambda + offset - drop; `k_inverse(i, drop)` is the K_i^-1
-    factor there that the coproduct puts on the slice side.
+    on the weight space at drop; `k_inverse(i, drop)` is the K_i^-1 factor
+    there that the coproduct puts on the slice side.
     """
 
     quantum = False
@@ -162,14 +133,8 @@ class VermaSlice:
         self._pair_cache = {}
         self._basis_cache = {}
 
-    def empty_key(self):
-        return ()
-
     def drop_of(self, word):
-        nu = self.datum.zero_weight
-        for i in word:
-            nu = weight_add(nu, self.datum.simple_roots[i])
-        return nu
+        return tuple(word.count(i) for i in range(self.datum.rank))
 
     def e_word(self, i, word):
         """e_i applied to a word vector; a sparse {word: Scalar}."""
@@ -217,21 +182,24 @@ class VermaSlice:
         return out
 
     def weight_basis(self, nu):
-        """One word per Kostant partition of nu: the root words of the
-        partition concatenated in non-increasing order.
+        """One word per Kostant partition of the drop nu: the root words of
+        the partition concatenated in non-increasing order, where a root's
+        word is the indices of its nonzero multiplicities.
 
         These are the good Lyndon words of type A, whose monomials form a
         basis of U(n_-) (Lalonde-Ram 1995) and of U_q(n_-) (Leclerc 2004),
         so no rank test is made here; `coords` still raises on a singular
         Gram system.
         """
-        nu = tuple(Fraction(x) for x in nu)
         hit = self._basis_cache.get(nu)
         if hit is not None:
             return hit
-        if self.datum.root_height(nu) > self.depth:
-            raise VermaError(f"weight drop {nu} beyond slice depth")
-        words = [_root_word(self.datum, beta) for beta in ordered_positive_roots(self.datum)]
+        if len(nu) != self.datum.rank or sum(nu) > self.depth or \
+                not all(isinstance(c, int) and c >= 0 for c in nu):
+            raise VermaError(f"{nu} is not a drop of this slice: want {self.datum.rank} "
+                             f"nonnegative ints summing to at most {self.depth}")
+        words = [tuple(i for i, m in enumerate(beta) if m)
+                 for beta in ordered_positive_roots(self.datum)]
         out = []
         for exps in root_partitions(self.datum, nu):
             parts = sorted((w for w, k in zip(words, exps) for _ in range(k)), reverse=True)
@@ -240,15 +208,16 @@ class VermaSlice:
         return out
 
     def k_inverse(self, i, drop):
-        """K_i^-1 on weight lambda + offset - drop:
-        q^-(lambda + offset - drop, alpha_i), 1 classically."""
+        """K_i^-1 on the weight space at drop, of weight lambda + offset - nu
+        with nu = drop_weight(drop): q^-(lambda + offset - nu, alpha_i), 1
+        classically."""
         datum, ctx = self.datum, self.ctx
         alpha = datum.simple_roots[i]
         return datum.q_lambda_pairing(ctx, alpha, factor=-1) * ctx.q_power(
-            -datum.pairing(alpha, weight_sub(self.offset, drop)))
+            -datum.pairing(alpha, weight_sub(self.offset, drop_weight(datum, drop))))
 
     def coords(self, nu, vecs):
-        """Coordinates of weight-nu sparse vectors in weight_basis(nu): one
+        """Coordinates of sparse vectors at the drop nu in weight_basis(nu): one
         solve of the Gram system for the block of right-hand sides
         <a, vec>, a running over the basis words."""
         keys = self.weight_basis(nu)
@@ -270,10 +239,11 @@ class VermaSliceC(VermaSlice):
     """Classical slice: [e_i, f_i] = h_i and K_i = 1."""
 
     def cartan(self, i, drop):
-        """h_i on weight lambda + offset - drop: (lambda + offset - drop, alpha_i)."""
+        """h_i on the weight space at drop: (lambda + offset - nu, alpha_i)
+        with nu = drop_weight(drop)."""
         alpha = self.datum.simple_roots[i]
         return self.datum.lambda_pairing(self.ctx, alpha) + self.ctx.from_fraction(
-            self.datum.pairing(alpha, weight_sub(self.offset, drop)))
+            self.datum.pairing(alpha, weight_sub(self.offset, drop_weight(self.datum, drop))))
 
     gram = shapovalov_gram
     coords = VermaSlice.coords
@@ -313,11 +283,12 @@ def solve_intertwiner(slice_, aux, v_index):
     """The unique intertwiner with leading term x (x) v_(v_index).
 
     slice_ is the target Verma slice (offset already includes -wt(v)); its
-    depth bounds the weight drops, which need the height spread of aux.
+    depth bounds the drops, which need the height spread of aux.
 
     The unknown block at drop nu is X_nu, words of nu by aux indices of
-    weight wt(v) + nu, and Delta(e_i) = e_i (x) 1 + K_i^-1 (x) e_i acts on
-    it as A (x) 1 plus a term from the block solved at nu - alpha_i.  So
+    weight wt(v) + drop_weight(nu), and Delta(e_i) = e_i (x) 1 + K_i^-1 (x)
+    e_i acts on it as A (x) 1 plus a term from the block solved at the drop
+    nu - alpha_i, one letter i fewer.  So
     each drop is one solve A X_nu = B: A has a row per (i, word of
     nu - alpha_i) holding the e_i-coordinates of the words of nu, and B
     carries -K_i^-1 (x) e_i applied to X_(nu - alpha_i), one column per aux
@@ -326,20 +297,21 @@ def solve_intertwiner(slice_, aux, v_index):
     datum, ctx = slice_.datum, slice_.ctx
     v_wt = aux.weights[v_index]
     aux_blocks = aux.weight_blocks()
-    image = {(slice_.empty_key(), v_index): ctx.one}
+    image = {((), v_index): ctx.one}
     # drop -> ({aux index: column}, solved block)
-    solved = {datum.zero_weight: ({v_index: 0}, Mat.identity(1, ctx))}
-    for nu in enumerate_drops(datum, slice_.depth):
-        cols = aux_blocks.get(weight_add(v_wt, nu))
-        if nu == datum.zero_weight or not cols:
+    zero, *drops = enumerate_drops(datum, slice_.depth)
+    solved = {zero: ({v_index: 0}, Mat.identity(1, ctx))}
+    for nu in drops:
+        cols = aux_blocks.get(weight_add(v_wt, drop_weight(datum, nu)))
+        if not cols:
             continue
         keys = slice_.weight_basis(nu)
         at = {u: k for k, u in enumerate(cols)}
         a_rows, b_rows, nrows = {}, {}, 0
         for i in range(datum.rank):
-            mu = weight_sub(nu, datum.simple_roots[i])
-            if _height_or_none(datum, mu) is None:
+            if not nu[i]:
                 continue
+            mu = nu[:i] + (nu[i] - 1,) + nu[i + 1:]
             images = [slice_.act_simple("e", i, {key: ctx.one}) for key in keys]
             for k, col in enumerate(slice_.coords(mu, images)):
                 for m, c in enumerate(col):

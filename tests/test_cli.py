@@ -229,6 +229,19 @@ def test_vacuous_trace_residual_is_a_precondition_violation(capsys, line, named)
     assert named in captured.err
 
 
+@pytest.mark.parametrize("line,named", [
+    # each exited 0, ignoring the option its action does not read
+    ("macdonald corollary91 --m 0 --n 5", "--n"),
+    ("macdonald trace-residual --depth 1 --order 1 --biorder 0 --m 7", "--m"),
+    ("macdonald operator --n 2 --r 1 --mu 3,1", "--mu"),
+])
+def test_macdonald_rejects_an_option_its_action_does_not_read(capsys, line, named):
+    code = main(line.split())
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert named in captured.err
+
+
 @pytest.mark.parametrize("line", [
     "macdonald trace-residual --depth 2 --order 2",
     "macdonald trace-residual --depth 2 --order 2 --biorder 5",

@@ -142,7 +142,7 @@ def test_composite_expectation():
     from dybax.verma import solve_intertwiner, verma_slice
     sl = verma_slice(datum, (1,), 1)
     phi = solve_intertwiner(sl, v, 1)
-    top = {u: c for (key, u), c in phi.image.items() if key == sl.empty_key()}
+    top = {u: c for (key, u), c in phi.image.items() if key == ()}
     assert top[1] == ctx.one and top.get(0, ctx.zero).is_zero
     # the expectation lies in the weight space V[lambda - mu] (zero drop
     # components only): total weight of every cell is wt(w) + wt(v)
@@ -291,9 +291,16 @@ def _flip_three_factors():
     (_flip_three_factors, FusionError),
     (lambda: shapovalov_vs_fusion(build_type_A(3, "gl"), 1), FusionError),
     # alpha_1 + alpha_2 has height 2, past the depth-1 slice
-    (lambda: verma_slice(build_type_A(3, "gl"), (0, 0, 0), 1).weight_basis((1, 0, -1)),
+    (lambda: verma_slice(build_type_A(3, "gl"), (0, 0, 0), 1).weight_basis((1, 1)),
      VermaError),
-], ids=["mixed-flavours", "flip21-three-factors", "shapovalov-gl3", "past-slice-depth"])
+    # a negative entry would give an empty basis and a 0-row solve, and a
+    # weight passed as a drop has the wrong length
+    (lambda: verma_slice(build_type_A(3, "gl"), (0, 0, 0), 2).weight_basis((2, -1)),
+     VermaError),
+    (lambda: verma_slice(build_type_A(3, "gl"), (0, 0, 0), 2).weight_basis((1, 0, -1)),
+     VermaError),
+], ids=["mixed-flavours", "flip21-three-factors", "shapovalov-gl3", "past-slice-depth",
+        "negative-drop-entry", "drop-of-wrong-length"])
 def test_input_guard_raises_its_named_error(call, error):
     with pytest.raises(error):
         call()

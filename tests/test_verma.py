@@ -4,7 +4,6 @@ from dybax.linalg import rank_of, solve_dense
 from dybax.reps import tensor, vector_rep
 from dybax.rootdata import build_type_A
 from dybax.verma import (
-    _height_or_none,
     apply_coproduct_word,
     enumerate_drops,
     root_partitions,
@@ -23,8 +22,8 @@ def test_sl2_basis_and_straightening():
     out = sl.act_simple("e", 0, {(0, 0): ctx.one})
     assert set(out) == {(0,)}
     assert out[(0,)] == 2 * ctx.lam(0) - 2
-    # weight of f x is lambda - alpha
-    assert sl.drop_of((0,)) == (2,)
+    # f x lies one alpha below the highest weight
+    assert sl.drop_of((0,)) == (1,)
 
 
 def test_gl3_slice_dimension():
@@ -33,6 +32,14 @@ def test_gl3_slice_dimension():
     dims = [len(sl.weight_basis(nu)) for nu in enumerate_drops(datum, 2)]
     # depth counts simple letters, so heights 0, 1, 2: 1 + 2 + (1 + 2 + 1)
     assert sum(dims) == 7
+    # the words of each drop, root words in non-increasing order
+    sl = verma_slice(datum, (0, 0, 0), 3)
+    assert sl.weight_basis((1, 1)) == [(0, 1), (1, 0)]
+    assert sl.weight_basis((1, 2)) == [(1, 0, 1), (1, 1, 0)]
+    assert sl.weight_basis((2, 1)) == [(0, 1, 0), (1, 0, 0)]
+    sl = verma_slice(build_type_A(4, "gl"), (0, 0, 0, 0), 4)
+    assert sl.weight_basis((1, 2, 1)) == [
+        (1, 2, 0, 1), (1, 0, 1, 2), (1, 2, 1, 0), (2, 1, 0, 1), (2, 1, 1, 0)]
 
 
 def test_shapovalov_sl2():
@@ -40,16 +47,16 @@ def test_shapovalov_sl2():
     sl = verma_slice(datum, (0,), 2)
     ctx = sl.ctx
     lam = ctx.lam(0)
-    g1 = shapovalov_gram(sl, (2,))
+    g1 = shapovalov_gram(sl, (1,))
     assert g1[0, 0] == lam
-    g2 = shapovalov_gram(sl, (4,))
+    g2 = shapovalov_gram(sl, (2,))
     assert g2[0, 0] == 2 * lam * (lam - 1)
 
 
 def test_shapovalov_gl3_symmetric_invertible():
     datum = build_type_A(3, "gl")
     sl = verma_slice(datum, (0, 0, 0), 2)
-    nu = (1, 0, -1)  # alpha_1 + alpha_2: 2-dimensional weight space
+    nu = (1, 1)  # alpha_1 + alpha_2: 2-dimensional weight space
     g = shapovalov_gram(sl, nu)
     assert g.nrows == 2
     assert g[0, 1] == g[1, 0]
@@ -58,9 +65,12 @@ def test_shapovalov_gl3_symmetric_invertible():
 
 def test_kostant_counts():
     datum = build_type_A(3, "gl")
-    assert len(root_partitions(datum, (1, 0, -1))) == 2
-    assert len(root_partitions(datum, (1, -1, 0))) == 1
-    assert len(root_partitions(datum, (2, 0, -2))) == 3
+    assert len(root_partitions(datum, (1, 1))) == 2
+    assert len(root_partitions(datum, (1, 0))) == 1
+    assert len(root_partitions(datum, (2, 2))) == 3
+    datum = build_type_A(4, "gl")
+    assert len(root_partitions(datum, (1, 1, 1))) == 4
+    assert len(root_partitions(datum, (1, 2, 1))) == 5
 
 
 def test_intertwiner_sl2_classical():
@@ -158,17 +168,7 @@ def test_intertwiner_property_on_slice():
 
 def test_enumerate_drops():
     datum = build_type_A(2, "gl")
-    drops = enumerate_drops(datum, 2)
-    assert (0, 0) in [tuple(map(int, d)) for d in drops]
-    assert len(drops) == 3
-
-
-def test_height_or_none_only_absorbs_root_datum_errors():
-    datum = build_type_A(3, "gl")
-    assert _height_or_none(datum, (1, -1, 0)) == 1
-    assert _height_or_none(datum, (1, 0, 0)) is None   # off the root lattice
-    with pytest.raises(TypeError):
-        _height_or_none(datum, None)   # a bug, not "not a root"
+    assert enumerate_drops(datum, 2) == [(0,), (1,), (2,)]
 
 
 def test_quantum_block_coords_match_per_vector_solves():
@@ -181,10 +181,10 @@ def test_quantum_block_coords_match_per_vector_solves():
     for quantum in (False, True):
         sl = verma_slice(datum, (0, 0, 0), 3, quantum=quantum)
         ctx = sl.ctx
-        for nu in [(2, -1, -1), (1, 1, -2), (1, 0, -1)]:
+        for nu in [(2, 1), (1, 2), (1, 1)]:
             keys = sl.weight_basis(nu)
             for i in range(datum.rank):
-                mu = tuple(a - b for a, b in zip(nu, datum.simple_roots[i]))
+                mu = tuple(c - (k == i) for k, c in enumerate(nu))
                 mu_keys = sl.weight_basis(mu)
                 vecs = [sl.act_simple("e", i, {key: ctx.one}) for key in keys]
                 block = sl.coords(mu, vecs)
@@ -206,16 +206,16 @@ def test_quantum_block_coords_match_per_vector_solves():
 def test_word_basis_is_a_kostant_basis(quantum):
     # weight_basis(nu) is one word of drop nu per Kostant partition, chosen
     # without a rank test; its Gram matrix must be invertible at symbolic
-    # lambda, on every drop of gl3 and gl4 to height 3 and on the gl4 weight
+    # lambda, on every drop of gl3 and gl4 to height 3 and on the gl4 drop
     # alpha_1 + 2 alpha_2 + alpha_3
     cases = [(build_type_A(n, "gl"), 3, None) for n in (3, 4)]
-    cases.append((build_type_A(4, "gl"), 4, [(1, 1, -1, -1)]))
+    cases.append((build_type_A(4, "gl"), 4, [(1, 2, 1)]))
     for datum, depth, drops in cases:
         sl = verma_slice(datum, datum.zero_weight, depth, quantum=quantum)
         for nu in drops or enumerate_drops(datum, depth):
             words = sl.weight_basis(nu)
             assert len(set(words)) == len(words) == len(root_partitions(datum, nu)), nu
-            assert all(sl.drop_of(w) == tuple(nu) for w in words), nu
+            assert all(sl.drop_of(w) == nu for w in words), nu
             g = sl.gram(nu)
             if drops is None:
                 g.inverse()
