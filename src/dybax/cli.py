@@ -4,7 +4,10 @@ acceptance-table runner.
 
 Batch only; artifacts are canonical JSON on stdout or a file, logs go to
 stderr.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage errors,
-3 precondition violations.
+3 precondition violations.  An option that the chosen command, `verify`
+equation, `macdonald` action or catalog family does not read is a usage
+error at any value, its default included.  The `verify` and `macdonald`
+options follow the equation or action: `dybax macdonald operator --n 3`.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from . import serialize
 from .catalog import (
@@ -63,17 +67,22 @@ EXIT_PRECONDITION = 3
 
 def _emit(args, payload):
     text = serialize.dumps(payload)
-    if getattr(args, "output", None):
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.output:
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise argparse.ArgumentTypeError(
+                f"--output {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
 
 def _parse_subset(text, upper):
-    """Comma-separated indices, each in 1..upper."""
+    """Comma-separated indices, each in 1..upper; None (an absent option) is
+    the empty list."""
     try:
-        out = [int(x) for x in text.split(",") if x != ""]
+        out = [int(x) for x in (text or "").split(",") if x != ""]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
     for x in out:
@@ -83,10 +92,11 @@ def _parse_subset(text, upper):
 
 
 def _parse_vectors(text):
-    """Semicolon-separated vectors of comma-separated rationals."""
+    """Semicolon-separated vectors of comma-separated rationals; None (an
+    absent option) is the empty list."""
     try:
         return [tuple(Fraction(x) for x in chunk.split(","))
-                for chunk in text.split(";") if chunk]
+                for chunk in (text or "").split(";") if chunk]
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a list of rational vectors: {text!r}") from None
 
@@ -95,71 +105,57 @@ def _datum(args):
     return build_type_A(args.n, args.flavor)
 
 
-def _classical_catalog(args):
-    name = args.name
-    datum = build_type_A(args.n, args.flavor)
-    if name == "basic-rational":
-        return basic_rational_r(datum)
-    if name == "basic-trig":
-        return basic_trig_r(datum)
-    if name == "r-l":
-        return classical_r_zero_coupling(datum, _parse_vectors(args.roots))
-    if name == "r-eps-X":
-        return classical_r_trig_X(datum, [x - 1 for x in _parse_subset(args.X, datum.rank)])
-    if name == "appA":
-        gamma1 = [x - 1 for x in _parse_subset(args.gamma1, datum.rank)]
-        gamma2 = [x - 1 for x in _parse_subset(args.gamma2, datum.rank)]
-        tau = dict(zip(gamma1, gamma2))
-        triple = BDTriple(datum, gamma1, gamma2, tau, _parse_vectors(args.l_basis))
-        return appendixA_r(triple)
-    raise argparse.ArgumentTypeError(f"unknown classical catalog name {name}")
+def _appendix_a(args, datum):
+    gamma1 = [x - 1 for x in _parse_subset(args.gamma1, datum.rank)]
+    gamma2 = [x - 1 for x in _parse_subset(args.gamma2, datum.rank)]
+    tau = dict(zip(gamma1, gamma2))
+    return appendixA_r(BDTriple(datum, gamma1, gamma2, tau, _parse_vectors(args.l_basis)))
 
 
-def _quantum_catalog(args):
-    if args.flavor != "gl":
+def _closed_form(args, datum):
+    # `limit` has no --quantum: it expands quantum solutions only; `catalog`
+    # and `verify` build the classical forms unless --quantum is passed
+    j, r = glN_closed_forms(datum.n, bool(getattr(args, "quantum", True)))
+    return j if args.part == "J" else r
+
+
+# The options that select a member of a solution family.  They have no
+# default, so an option that was passed is seen at any value; an absent list
+# is empty and an absent --part is R.
+FAMILY_OPTIONS = ("X", "roots", "gamma1", "gamma2", "l_basis", "quantum", "part")
+
+# name: (is_quantum, builder(args, datum), the family options it reads)
+FAMILIES = {
+    "basic-rational": (False, lambda args, datum: basic_rational_r(datum), ()),
+    "basic-trig": (False, lambda args, datum: basic_trig_r(datum), ()),
+    "r-l": (False, lambda args, datum: classical_r_zero_coupling(
+        datum, _parse_vectors(args.roots)), ("roots",)),
+    "r-eps-X": (False, lambda args, datum: classical_r_trig_X(
+        datum, [x - 1 for x in _parse_subset(args.X, datum.rank)]), ("X",)),
+    "appA": (False, _appendix_a, ("gamma1", "gamma2", "l_basis")),
+    "R-X": (True, lambda args, datum: quantum_R_X(
+        datum.n, _parse_subset(args.X, datum.n)), ("X",)),
+    "R-eps-X": (True, lambda args, datum: quantum_R_eps_X(
+        datum.n, _parse_subset(args.X, datum.n)), ("X",)),
+    "gl-closed-form": (True, _closed_form, ("quantum", "part")),
+}
+
+
+def _family(args, quantum):
+    """The member of family args.name: a quantum DynOp or a classical
+    r-matrix, as `quantum` asks."""
+    is_quantum, build, reads = FAMILIES.get(args.name, (None, None, ()))
+    if is_quantum is not quantum:
+        raise argparse.ArgumentTypeError(
+            f"unknown {'quantum' if quantum else 'classical'} catalog name {args.name}")
+    for dest in FAMILY_OPTIONS:
+        if getattr(args, dest, None) is not None and dest not in reads:
+            readers = [name for name, (_, _, r) in FAMILIES.items() if dest in r]
+            raise argparse.ArgumentTypeError(
+                f"--{dest.replace('_', '-')} is read only by {', '.join(readers)}")
+    if quantum and args.flavor != "gl":
         raise argparse.ArgumentTypeError(f"--flavor {args.flavor}: {args.name} is a gl_n family")
-    if args.name == "R-X":
-        return quantum_R_X(args.n, _parse_subset(args.X, args.n))
-    if args.name == "R-eps-X":
-        return quantum_R_eps_X(args.n, _parse_subset(args.X, args.n))
-    if args.name == "gl-closed-form":
-        # `limit` has no --quantum: it expands quantum solutions only
-        j, r = glN_closed_forms(args.n, getattr(args, "quantum", True))
-        return r if args.part == "R" else j
-    raise argparse.ArgumentTypeError(f"unknown quantum catalog name {args.name}")
-
-
-CLASSICAL_NAMES = ("basic-rational", "basic-trig", "r-l", "r-eps-X", "appA")
-QUANTUM_NAMES = ("R-X", "R-eps-X", "gl-closed-form")
-
-# Each catalog option of `catalog`, `verify` and `limit` with its default and
-# the families that read it (for --p, the verify equation); the commands
-# reject an option that is set away from its default and that they would
-# silently ignore.
-OPTION_READERS = {
-    "X": ("", ("r-eps-X", "R-X", "R-eps-X")),
-    "roots": ("", ("r-l",)),
-    "gamma1": ("", ("appA",)),
-    "gamma2": ("", ("appA",)),
-    "l_basis": ("", ("appA",)),
-    "quantum": (False, ("gl-closed-form",)),
-    "part": ("R", ("gl-closed-form",)),
-    "p": (3, ("hecke-rep",)),
-}
-
-# The same for the options of `macdonald` and the actions that read them;
-# a table of its own, since --n is no catalog option.
-MACDONALD_READERS = {
-    "n": (2, ("operator", "polynomial", "commute")),
-    "r": (1, ("operator",)),
-    "m": (0, ("operator", "polynomial", "commute", "corollary91")),
-    "mu": ("1,0", ("polynomial",)),
-    "depth": (3, ("trace-residual",)),
-    "order": (3, ("trace-residual",)),
-    "biorder": (2, ("trace-residual",)),
-}
-COMMAND_READERS = {"catalog": OPTION_READERS, "verify": OPTION_READERS,
-                   "limit": OPTION_READERS, "macdonald": MACDONALD_READERS}
+    return build(args, _datum(args))
 
 
 def cmd_datum(args):
@@ -175,12 +171,10 @@ def cmd_module(args):
 
 
 def cmd_catalog(args):
-    if args.name in CLASSICAL_NAMES:
-        rmat = _classical_catalog(args)
-        _emit(args, serialize.classical_r_json(rmat))
+    if FAMILIES[args.name][0]:
+        _emit(args, serialize.dynop_json(_family(args, True), name=args.name))
     else:
-        op = _quantum_catalog(args)
-        _emit(args, serialize.dynop_json(op, name=args.name))
+        _emit(args, serialize.classical_r_json(_family(args, False)))
     return EXIT_OK
 
 
@@ -226,36 +220,34 @@ def _hecke_operand(args):
     normalization, with q the field's q (1 classically).  The gl_n
     closed-form R has q on V_a (x) V_a and PR eigenvalues q and -q^-1, so
     R/q is checked, with parameter q^-2."""
-    op = _quantum_catalog(args)
+    op = _family(args, True)
     q = op.ctx.q_power(1)
-    if args.name == "gl-closed-form" and args.part == "R":
+    if args.name == "gl-closed-form" and args.part != "J":
         return op * (1 / q), q ** -2
     return op, q
 
 
+def _hecke_rep(args):
+    op, q = _hecke_operand(args)
+    return dynamical_hecke_rep(op, args.p, q, name=args.name)[1]
+
+
+# equation: the residual report of its check
+VERIFY_CHECKS = {
+    "qdybe": lambda args: qdybe_residual(_family(args, True), name=args.name),
+    "cdybe": lambda args: cdybe_residual(_family(args, False)),
+    "hecke": lambda args: hecke_check(*_hecke_operand(args), name=args.name),
+    "unitarity": lambda args: unitarity_check(_family(args, False)),
+    "hecke-rep": _hecke_rep,
+}
+
+
 def cmd_verify(args):
-    reports = []
-    if args.equation == "qdybe":
-        op = _quantum_catalog(args)
-        reports.append(qdybe_residual(op, name=args.name))
-    elif args.equation == "hecke":
-        reports.append(hecke_check(*_hecke_operand(args), name=args.name))
-    elif args.equation == "cdybe":
-        rmat = _classical_catalog(args)
-        reports.append(cdybe_residual(rmat))
-    elif args.equation == "unitarity":
-        rmat = _classical_catalog(args)
-        reports.append(unitarity_check(rmat))
-    elif args.equation == "hecke-rep":
-        op, q = _hecke_operand(args)
-        _, rep = dynamical_hecke_rep(op, args.p, q, name=args.name)
-        reports.append(rep)
-    else:
-        raise argparse.ArgumentTypeError(f"unknown equation {args.equation}")
+    report = VERIFY_CHECKS[args.equation](args)
     payload = {"schema": serialize.SCHEMA, "kind": "verification",
-               "reports": [serialize.report_json(r) for r in reports]}
+               "reports": [serialize.report_json(report)]}
     _emit(args, payload)
-    return EXIT_OK if all(r.exact_zero for r in reports) else EXIT_CHECK_FAILED
+    return EXIT_OK if report.exact_zero else EXIT_CHECK_FAILED
 
 
 def cmd_verify_suite(args):
@@ -275,7 +267,7 @@ def cmd_limit(args):
     least = 1 if args.check_eq4 else 0     # --check-eq4 reads the order-gamma term
     if args.order < least:
         raise argparse.ArgumentTypeError(f"--order {args.order} is below {least}")
-    op = _quantum_catalog(args)
+    op = _family(args, True)
     mats = classical_limit(op, args.order)
     payload = serialize.gamma_series_json(mats, name=f"{args.name} gamma-series")
     status = EXIT_OK
@@ -306,58 +298,68 @@ def cmd_shapovalov(args):
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_macdonald(args):
+def _macdonald_m(args):
     if args.m < 0:
         raise argparse.ArgumentTypeError(f"--m {args.m} is below 0")
-    if args.action == "operator":
-        if not 1 <= args.r <= args.n:
-            raise argparse.ArgumentTypeError(f"--r {args.r} is not in 1..{args.n}")
-        op = macdonald_operator(args.n, args.r, args.m)
-        _emit(args, serialize.diffop_json(op, f"M_{args.r} (n={args.n}, m={args.m})"))
-        return EXIT_OK
-    if args.action == "polynomial":
-        parts = args.mu.split(",")
-        mu = tuple(int(x) for x in parts if x.strip().isdecimal())
-        if len(mu) != len(parts) or len(mu) > args.n or \
-                list(mu) != sorted(mu, reverse=True):
-            raise argparse.ArgumentTypeError(
-                f"--mu {args.mu!r} is not a partition with at most {args.n} parts")
-        coeffs = macdonald_polynomial(args.n, mu, args.m)
-        payload = {"schema": serialize.SCHEMA, "kind": "macdonald-polynomial",
-                   "mu": list(mu), "m": args.m,
-                   "monomial_coefficients": {
-                       ",".join(map(str, nu)): c.to_text()
-                       for nu, c in sorted(coeffs.items())}}
-        _emit(args, payload)
-        return EXIT_OK
-    if args.action == "commute":
-        if args.n < 2:
-            raise PreconditionError(f"--n {args.n} has no pair of operators; need n >= 2")
-        ok = True
-        for r in range(1, args.n + 1):
-            for s in range(r + 1, args.n + 1):
-                a = macdonald_operator(args.n, r, args.m)
-                b = macdonald_operator(args.n, s, args.m)
-                ok = ok and (a * b - b * a).is_zero
-        _emit(args, {"schema": serialize.SCHEMA, "kind": "macdonald-commute",
-                     "n": args.n, "m": args.m, "pass": ok})
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    if args.action == "corollary91":
-        ok, lhs, rhs = corollary91_check(args.m)
-        payload = {"schema": serialize.SCHEMA, "kind": "corollary-9-1",
-                   "m": args.m, "pass": ok,
-                   "lhs": serialize.diffop_json(lhs, "transfer side"),
-                   "rhs": serialize.diffop_json(rhs, "macdonald side")}
-        _emit(args, payload)
-        return EXIT_OK if ok else EXIT_CHECK_FAILED
-    if args.action == "trace-residual":
-        ok1, ok2, bad = trace_residuals(args.depth, args.order, args.biorder)
-        payload = {"schema": serialize.SCHEMA, "kind": "trace-residuals",
-                   "macdonald_ruijsenaars": ok1, "dual": ok2,
-                   "symmetry_mismatches": [list(b) for b in bad]}
-        _emit(args, payload)
-        return EXIT_OK if ok1 and ok2 and not bad else EXIT_CHECK_FAILED
-    raise argparse.ArgumentTypeError(f"unknown macdonald action {args.action}")
+    return args.m
+
+
+def cmd_operator(args):
+    m = _macdonald_m(args)
+    if not 1 <= args.r <= args.n:
+        raise argparse.ArgumentTypeError(f"--r {args.r} is not in 1..{args.n}")
+    op = macdonald_operator(args.n, args.r, m)
+    _emit(args, serialize.diffop_json(op, f"M_{args.r} (n={args.n}, m={m})"))
+    return EXIT_OK
+
+
+def cmd_polynomial(args):
+    m = _macdonald_m(args)
+    parts = args.mu.split(",")
+    mu = tuple(int(x) for x in parts if x.strip().isdecimal())
+    if len(mu) != len(parts) or len(mu) > args.n or \
+            list(mu) != sorted(mu, reverse=True):
+        raise argparse.ArgumentTypeError(
+            f"--mu {args.mu!r} is not a partition with at most {args.n} parts")
+    coeffs = macdonald_polynomial(args.n, mu, m)
+    payload = {"schema": serialize.SCHEMA, "kind": "macdonald-polynomial",
+               "mu": list(mu), "m": m,
+               "monomial_coefficients": {
+                   ",".join(map(str, nu)): c.to_text()
+                   for nu, c in sorted(coeffs.items())}}
+    _emit(args, payload)
+    return EXIT_OK
+
+
+def cmd_commute(args):
+    m = _macdonald_m(args)
+    if args.n < 2:
+        raise PreconditionError(f"--n {args.n} has no pair of operators; need n >= 2")
+    ops = [macdonald_operator(args.n, r, m) for r in range(1, args.n + 1)]
+    ok = all((a * b - b * a).is_zero for a, b in combinations(ops, 2))
+    _emit(args, {"schema": serialize.SCHEMA, "kind": "macdonald-commute",
+                 "n": args.n, "m": m, "pass": ok})
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def cmd_corollary91(args):
+    m = _macdonald_m(args)
+    ok, lhs, rhs = corollary91_check(m)
+    payload = {"schema": serialize.SCHEMA, "kind": "corollary-9-1",
+               "m": m, "pass": ok,
+               "lhs": serialize.diffop_json(lhs, "transfer side"),
+               "rhs": serialize.diffop_json(rhs, "macdonald side")}
+    _emit(args, payload)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
+
+
+def cmd_trace_residual(args):
+    ok1, ok2, bad = trace_residuals(args.depth, args.order, args.biorder)
+    payload = {"schema": serialize.SCHEMA, "kind": "trace-residuals",
+               "macdonald_ruijsenaars": ok1, "dual": ok2,
+               "symmetry_mismatches": [list(b) for b in bad]}
+    _emit(args, payload)
+    return EXIT_OK if ok1 and ok2 and not bad else EXIT_CHECK_FAILED
 
 
 def cmd_acceptance(args):
@@ -384,14 +386,13 @@ def build_parser():
         p.add_argument("--flavor", choices=("gl", "sl"), default=flavor_default)
         p.add_argument("--output", "-o", default=None)
 
-    def catalog_options(p):
-        p.add_argument("--X", default="")
-        p.add_argument("--roots", default="")
-        p.add_argument("--gamma1", default="")
-        p.add_argument("--gamma2", default="")
-        p.add_argument("--l-basis", dest="l_basis", default="")
-        p.add_argument("--quantum", action="store_true")
-        p.add_argument("--part", choices=("J", "R"), default="R")
+    def family_options(p, dests=FAMILY_OPTIONS):
+        for dest in dests:
+            flag = "--" + dest.replace("_", "-")
+            if dest == "quantum":
+                p.add_argument(flag, action="store_true", default=None)
+            else:
+                p.add_argument(flag, choices=("J", "R") if dest == "part" else None)
 
     p = sub.add_parser("datum", help="dump a type-A root datum")
     common(p)
@@ -404,9 +405,9 @@ def build_parser():
     p.set_defaults(func=cmd_module)
 
     p = sub.add_parser("catalog", help="construct a solution family")
-    p.add_argument("name", choices=CLASSICAL_NAMES + QUANTUM_NAMES)
+    p.add_argument("name", choices=FAMILIES)
     common(p)
-    catalog_options(p)
+    family_options(p)
     p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("fusion", help="fusion/exchange matrices by either pipeline")
@@ -417,13 +418,14 @@ def build_parser():
     p.set_defaults(func=cmd_fusion)
 
     p = sub.add_parser("verify", help="exact residual check of one equation")
-    p.add_argument("equation",
-                   choices=("qdybe", "cdybe", "hecke", "unitarity", "hecke-rep"))
-    p.add_argument("--catalog", dest="name", required=True)
-    common(p)
-    catalog_options(p)
-    p.add_argument("--p", type=int, default=3)
-    p.set_defaults(func=cmd_verify)
+    equations = p.add_subparsers(dest="equation", required=True)
+    for equation in VERIFY_CHECKS:
+        e = equations.add_parser(equation)
+        e.add_argument("--catalog", dest="name", required=True)
+        common(e)
+        family_options(e)
+        e.set_defaults(func=cmd_verify)
+    equations.choices["hecke-rep"].add_argument("--p", type=int, default=3)
 
     p = sub.add_parser("verify-suite",
                        help="QDYBE+Hecke for all X subsets up to rank n")
@@ -433,10 +435,9 @@ def build_parser():
 
     p = sub.add_parser("limit", help="gamma-expansion of a quantum solution")
     p.add_argument("--catalog", dest="name", required=True,
-                   choices=QUANTUM_NAMES)
+                   choices=[name for name, (quantum, _, _) in FAMILIES.items() if quantum])
     common(p)
-    p.add_argument("--X", default="")
-    p.add_argument("--part", choices=("J", "R"), default="R")
+    family_options(p, ("X", "part"))
     p.add_argument("--order", type=int, default=2)
     p.add_argument("--check-eq4", action="store_true")
     p.set_defaults(func=cmd_limit)
@@ -448,17 +449,18 @@ def build_parser():
     p.set_defaults(func=cmd_shapovalov)
 
     p = sub.add_parser("macdonald", help="Macdonald operators and trace residuals")
-    p.add_argument("action", choices=("operator", "polynomial", "commute",
-                                      "corollary91", "trace-residual"))
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--r", type=int, default=1)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--mu", default="1,0")
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--biorder", type=int, default=2)
-    p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_macdonald)
+    actions = p.add_subparsers(dest="action", required=True)
+    options = {"n": 2, "r": 1, "m": 0, "mu": "1,0", "depth": 3, "order": 3, "biorder": 2}
+    for action, func, dests in (("operator", cmd_operator, "n r m"),
+                                ("polynomial", cmd_polynomial, "n mu m"),
+                                ("commute", cmd_commute, "n m"),
+                                ("corollary91", cmd_corollary91, "m"),
+                                ("trace-residual", cmd_trace_residual, "depth order biorder")):
+        a = actions.add_parser(action)
+        for dest in dests.split():
+            a.add_argument(f"--{dest}", type=type(options[dest]), default=options[dest])
+        a.add_argument("--output", "-o", default=None)
+        a.set_defaults(func=func)
 
     p = sub.add_parser("acceptance", help="run the acceptance criteria")
     p.add_argument("--criterion", type=int, default=None)
@@ -471,11 +473,6 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        read_by = {getattr(args, key, None) for key in ("name", "equation", "action")}
-        for dest, (default, readers) in COMMAND_READERS.get(args.command, {}).items():
-            if getattr(args, dest, default) != default and read_by.isdisjoint(readers):
-                raise argparse.ArgumentTypeError(
-                    f"--{dest.replace('_', '-')} is read only by {', '.join(readers)}")
         return args.func(args)
     except (PreconditionError,) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)

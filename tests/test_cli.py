@@ -1,8 +1,14 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from dybax.cli import main
+from dybax import acceptance
+from dybax.cli import FAMILIES, FAMILY_OPTIONS, build_parser, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, argv):
@@ -151,6 +157,16 @@ def test_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["kind"] == "root-datum"
 
 
+@pytest.mark.parametrize("line", ["datum --n 2", "verify-suite --n 2"])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, line):
+    # exited 1 ("check failed") with a FileNotFoundError traceback
+    target = str(tmp_path / "missing" / "x.json")
+    code = main(line.split() + ["-o", target])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert target in captured.err
+
+
 @pytest.mark.parametrize("equation", ["hecke", "hecke-rep"])
 @pytest.mark.parametrize("n", ["2", "3"])
 def test_verify_hecke_on_the_quantum_closed_form(capsys, equation, n):
@@ -229,19 +245,6 @@ def test_vacuous_trace_residual_is_a_precondition_violation(capsys, line, named)
     assert named in captured.err
 
 
-@pytest.mark.parametrize("line,named", [
-    # each exited 0, ignoring the option its action does not read
-    ("macdonald corollary91 --m 0 --n 5", "--n"),
-    ("macdonald trace-residual --depth 1 --order 1 --biorder 0 --m 7", "--m"),
-    ("macdonald operator --n 2 --r 1 --mu 3,1", "--mu"),
-])
-def test_macdonald_rejects_an_option_its_action_does_not_read(capsys, line, named):
-    code = main(line.split())
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert named in captured.err
-
-
 @pytest.mark.parametrize("line", [
     "macdonald trace-residual --depth 2 --order 2",
     "macdonald trace-residual --depth 2 --order 2 --biorder 5",
@@ -307,6 +310,14 @@ def test_appendix_a_on_sl2(capsys, line):
     ("limit --catalog gl-closed-form --n 2 --X 1", "--X"),
     # was a store_true flag that defaulted to True
     ("limit --catalog gl-closed-form --n 2 --quantum", "--quantum"),
+    # a macdonald action ignored an option it does not read (exit 0)
+    ("macdonald corollary91 --m 0 --n 5", "--n"),
+    ("macdonald trace-residual --depth 1 --order 1 --biorder 0 --m 7", "--m"),
+    ("macdonald operator --n 2 --r 1 --mu 3,1", "--mu"),
+    # an unread option passed at its default value was ignored (exit 0)
+    ("macdonald corollary91 --m 0 --n 2", "--n"),
+    ("catalog basic-rational --n 2 --part R", "--part"),
+    ("verify qdybe --catalog R-X --n 2 --p 3", "--p"),
 ])
 def test_malformed_input_is_a_usage_error(capsys, line, named):
     try:
@@ -316,3 +327,77 @@ def test_malformed_input_is_a_usage_error(capsys, line, named):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert named in captured.err
+
+
+# each family option as passed at the value that was its default
+OLD_DEFAULTS = {"X": ["--X", ""], "roots": ["--roots", ""], "gamma1": ["--gamma1", ""],
+                "gamma2": ["--gamma2", ""], "l_basis": ["--l-basis", ""],
+                "quantum": ["--quantum"], "part": ["--part", "R"]}
+
+
+def _unread_option_lines():
+    for name, (quantum, _, reads) in FAMILIES.items():
+        equation = "qdybe" if quantum else "cdybe"
+        for dest in FAMILY_OPTIONS:
+            if dest in reads:
+                continue
+            yield ["catalog", name, "--n", "2"] + OLD_DEFAULTS[dest], dest
+            yield ["verify", equation, "--catalog", name, "--n", "2"] + OLD_DEFAULTS[dest], dest
+            if quantum and dest in ("X", "part"):
+                yield ["limit", "--catalog", name, "--n", "2"] + OLD_DEFAULTS[dest], dest
+
+
+@pytest.mark.parametrize("argv,dest", _unread_option_lines(),
+                         ids=lambda x: " ".join(x) if isinstance(x, list) else x)
+def test_a_family_rejects_an_option_it_does_not_read_at_any_value(capsys, argv, dest):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "--" + dest.replace("_", "-") in captured.err
+
+
+def test_every_family_has_an_option_it_does_not_read():
+    lines = list(_unread_option_lines())
+    assert {argv[1] for argv, _ in lines if argv[0] == "catalog"} == set(FAMILIES)
+
+
+def _readme_lines():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+def _manifest():
+    return json.loads((ROOT / "acceptance.json").read_text())["criteria"]
+
+
+@pytest.mark.parametrize("argv", _readme_lines() + list(_manifest().values()), ids=" ".join)
+def test_documented_invocations_parse(argv):
+    assert argv[0] == "dybax"
+    build_parser().parse_args(argv[1:])      # parse only; argparse exits on an error
+
+
+def test_manifest_lists_every_acceptance_criterion():
+    numbers = [int(name.split()[0]) for name, _ in acceptance.CRITERIA]
+    assert sorted(int(k) for k in _manifest()) == sorted(numbers)
+    assert all(argv[-1] == k for k, argv in _manifest().items())
+
+
+COMMANDS = ["datum", "module", "catalog", "fusion", "verify", "verify-suite", "limit",
+            "shapovalov", "macdonald", "acceptance"]
+MACDONALD_OPTIONS = {"operator": {"--n", "--r", "--m"}, "polynomial": {"--n", "--mu", "--m"},
+                     "commute": {"--n", "--m"}, "corollary91": {"--m"},
+                     "trace-residual": {"--depth", "--order", "--biorder"}}
+
+
+@pytest.mark.parametrize("argv", [[c] for c in COMMANDS]
+                         + [["macdonald", a] for a in MACDONALD_OPTIONS], ids=" ".join)
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: dybax {' '.join(argv)}")
+    if argv[0] == "macdonald" and len(argv) == 2:
+        listed = set(re.findall(r"--[a-z0-9-]+", out))
+        assert listed == MACDONALD_OPTIONS[argv[1]] | {"--help", "--output"}
