@@ -8,6 +8,8 @@ stderr.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage errors,
 equation, `macdonald` action or catalog family does not read is a usage
 error at any value, its default included.  The `verify` and `macdonald`
 options follow the equation or action: `dybax macdonald operator --n 3`.
+A file named by `--output` is truncated before the work, so an unwritable
+one is a usage error at once.
 """
 
 from __future__ import annotations
@@ -68,14 +70,19 @@ EXIT_PRECONDITION = 3
 def _emit(args, payload):
     text = serialize.dumps(payload)
     if args.output:
-        try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise argparse.ArgumentTypeError(
-                f"--output {args.output}: {exc.strerror}") from None
+        _write_output(args.output, text)
     else:
         sys.stdout.write(text)
+
+
+def _write_output(path, text):
+    """Write text to the --output file, truncating it; an OSError is a
+    usage error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise argparse.ArgumentTypeError(f"--output {path}: {exc.strerror}") from None
 
 
 def _parse_subset(text, upper):
@@ -473,6 +480,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "output", None):
+            # truncated before the work: an unwritable path fails at once
+            _write_output(args.output, "")
         return args.func(args)
     except (PreconditionError,) as exc:
         print(f"precondition violation: {exc}", file=sys.stderr)

@@ -14,11 +14,12 @@ Exchange matrices are J^{-1} J^21 classically and J^{-1} R^21 J^21
 quantumly, with the constant R-matrix assembled by quasitriangularity.
 
 The universal sl2 fusion lives here as well: its coefficients g_n(lambda, h)
-are data for both flavours, Scalars of one auxiliary field in lambda (or
-q^lambda) and h (or q^h), closed-form classically and generated quantumly
-by running the ABRR recursion symbolically on the q-exponential R0.  One
-evaluator, `universal_coefficient`, specializes them on modules, on Verma
-slices (the Shapovalov comparison) and on duals (the trace functions), and
+are data for both flavours, Scalars of the rank-2 field of each flavour with
+lambda (or q^lambda) and h (or q^h) as its two coordinates, closed-form
+classically and generated quantumly by running the ABRR recursion
+symbolically on the q-exponential R0.  One evaluator,
+`universal_coefficient`, specializes them on modules, on Verma slices (the
+Shapovalov comparison) and on duals (the trace functions), and
 `universal_term` builds g_n(lambda, h) e^n on a module for the first and
 the last of these.
 """
@@ -32,7 +33,7 @@ from functools import lru_cache
 from .linalg import Mat, kron
 from .reps import TensorIndex, constant_R, place_operator
 from .rootdata import weight_add, weight_neg, weight_sub
-from .scalars import CLASSICAL, QUANTUM, aux_ctx, symbol_ctx
+from .scalars import classical_ctx, quantum_ctx, symbol_ctx
 from .verma import solve_intertwiner, verma_slice
 
 
@@ -258,40 +259,40 @@ def universal_sl2_fusion(depth, quantum=False):
     """Coefficients g_0..g_depth of the universal sl2 fusion
     J = sum_n f^n (x) g_n(lambda, h) e^n, with h read AFTER e^n is applied.
 
-    Each g_n is a Scalar of aux_ctx(mode, 1, ("x",)), in l1 = lambda and
-    x = h classically and in t1 = q^lambda and x = q^h quantumly; evaluate
-    it with `universal_coefficient`.  Classically g_n = ((-1)^n / n!)
+    Each g_n is a Scalar of the rank-2 field of its flavour, in l1 = lambda
+    and l2 = h classically and in t1 = q^lambda and t2 = q^h quantumly;
+    evaluate it with `universal_coefficient`.  Classically g_n = ((-1)^n / n!)
     prod_{k=n+1}^{2n} 1/(lambda - h + k).  The quantum coefficients are
     generated by the ABRR recursion run symbolically, with
     R0^21 = 1 + sum_k d_k f^k (x) e^k and the q-exponential coefficients
     d_k = q^(k(k-1)/2) (q - q^-1)^k / [k]_q!.
     """
     if not quantum:
-        aux = aux_ctx(CLASSICAL, 1, ("x",))
-        lam, x = aux.lam(0), aux.gen("x")
+        ctx = classical_ctx(2)
+        lam, h = ctx.lam(0), ctx.lam(1)
         gs = []
         for n in range(depth + 1):
-            g = aux.from_fraction(Fraction((-1) ** n, math.factorial(n)))
+            g = ctx.from_fraction(Fraction((-1) ** n, math.factorial(n)))
             for k in range(n + 1, 2 * n + 1):
-                g = g / (lam - x + k)
+                g = g / (lam - h + k)
             gs.append(g)
         return tuple(gs)
-    aux = aux_ctx(QUANTUM, 1, ("x",))
-    t, x = aux.t(0), aux.gen("x")
-    q = aux.q_power(1)
-    d, factorial_q = [aux.one], aux.one
+    ctx = quantum_ctx(2)
+    t, x = ctx.t(0), ctx.t(1)
+    q = ctx.q_power(1)
+    d, factorial_q = [ctx.one], ctx.one
     for k in range(1, depth + 1):
-        factorial_q = factorial_q * aux.q_number(k)
+        factorial_q = factorial_q * ctx.q_number(k)
         d.append(q ** (k * (k - 1) // 2) * (q - 1 / q) ** k / factorial_q)
-    gs = [aux.one]
+    gs = [ctx.one]
     for n in range(1, depth + 1):
-        rhs = aux.zero
+        rhs = ctx.zero
         for k in range(1, n + 1):
             # q^{2 theta(u-2k) - 2 theta(u)} = t^{-2k} x^{2k} q^{-2k-2k^2}
-            ratio = t ** (-2 * k) * x ** (2 * k) * aux.q_power(-2 * k - 2 * k * k)
-            g_prev = gs[n - k].monomial_subs({"x": x * aux.q_power(-2 * k)})
-            rhs = rhs + d[k] * ratio * g_prev
-        lhs_factor = t ** (-2 * n) * x ** (2 * n) * aux.q_power(-2 * n - 2 * n * n) - 1
+            ratio = t ** (-2 * k) * x ** (2 * k) * ctx.q_power(-2 * k - 2 * k * k)
+            # g_{n-k} at h - 2k: x = q^h -> q^(-2k) x
+            rhs = rhs + d[k] * ratio * gs[n - k].shift_lambda([0, 2 * k])
+        lhs_factor = t ** (-2 * n) * x ** (2 * n) * ctx.q_power(-2 * n - 2 * n * n) - 1
         gs.append(rhs / lhs_factor)
     return tuple(gs)
 
@@ -299,7 +300,7 @@ def universal_sl2_fusion(depth, quantum=False):
 def universal_coefficient(g, ctx, lam, h):
     """The universal coefficient g at lambda-argument lam and h-eigenvalue h,
     Scalars of ctx as `Context.coordinate_value` encodes them (q^lam, q^h)."""
-    return g.convert(ctx, [lam], {"x": h})
+    return g.convert(ctx, [lam, h])
 
 
 def universal_term(g, module, lam, e_pow):

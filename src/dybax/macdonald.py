@@ -108,11 +108,9 @@ class DiffOp:
         t_a = q^(lambda_a) fixed -- (q^{-1})^{(-lambda)} = q^lambda -- so
         only s inverts, while the shift operators flip direction under the
         coordinate change."""
-        ctx = self.ctx
-        mapping = {"s": 1 / ctx.s}
-        out = DiffOp(ctx, self.dim)
+        out = DiffOp(self.ctx, self.dim)
         for nu, m in self.terms.items():
-            out._add(tuple(-x for x in nu), m.map(lambda v: v.monomial_subs(mapping)))
+            out._add(tuple(-x for x in nu), m.map(lambda v: v.invert_q()))
         return out
 
 
@@ -228,19 +226,13 @@ def monomial_symmetric(ctx, nu):
 
 
 def as_laurent(x):
-    """Split a Scalar whose denominator is a single t-monomial into
-    {t-exponent tuple: s-only Scalar}."""
-    ctx = x.ctx
-    num_terms, den_terms = x.fraction_terms()
-    if len(den_terms) != 1:
+    """Split a Scalar whose denominator is one t-monomial (times a function
+    of s) into {t-exponent tuple: s-only Scalar}."""
+    num, den = x.lambda_graded()
+    if len(den) != 1:
         raise MacdonaldError("not a Laurent polynomial in the t variables")
-    dmon, dcoef = den_terms[0]
-    out = {}
-    for monom, coeff in num_terms:
-        t_exp = tuple(monom[1 + a] - dmon[1 + a] for a in range(ctx.n))
-        val = ctx.from_fraction(coeff / dcoef) * ctx.s ** (monom[0] - dmon[0])
-        out[t_exp] = out.get(t_exp, ctx.zero) + val
-    return {k: v for k, v in out.items() if not v.is_zero}
+    (low, d), = den.items()
+    return {tuple(a - b for a, b in zip(k, low)): v / d for k, v in num.items()}
 
 
 def _monomial_expansion(x):
@@ -385,13 +377,9 @@ def corollary91_check(m):
 def zeta_expand(x, order):
     """Laurent expansion of a quantum sl2 Scalar at t -> infinity in
     zeta = 1/t: returns (valuation, coefficients as s-only Scalars)."""
-    ctx = x.ctx
-    if ctx.n != 1:
+    if x.ctx.n != 1:
         raise MacdonaldError("zeta expansion is an sl2 (rank-1) computation")
-    num, den = {}, {}
-    for side, terms in zip((num, den), x.fraction_terms()):
-        for (a, k), coeff in terms:
-            side[-k] = side.get(-k, ctx.zero) + ctx.s ** a * coeff
+    num, den = ({-k: v for (k,), v in side.items()} for side in x.lambda_graded())
     return laurent_quotient(num, den, order + 1)
 
 
@@ -494,9 +482,7 @@ def _q_matrix_on_dual(module, depth):
     coeffs = universal_sl2_fusion(depth, quantum=True)
     arg = ctx.q_power(-1) / ctx.t(0)  # q^(-mu - rho)
     e_mat = module.e(0)
-    f_mat = module.f(0)
-    k_inv = module.k_diag(0, inverse=True)
-    s_f = (f_mat * k_inv) * ctx.from_fraction(-1)  # S(f) = -f K^{-1}
+    sf_t = dual(module).f(0)  # S(f)^T, S(f) = -f K^{-1}
     out = Mat.identity(module.dim, ctx)
     e_pow = Mat.identity(module.dim, ctx)
     sf_pow_t = Mat.identity(module.dim, ctx)
@@ -504,7 +490,7 @@ def _q_matrix_on_dual(module, depth):
         if n == 0:
             continue
         e_pow = e_mat * e_pow
-        sf_pow_t = sf_pow_t * s_f.transpose()
+        sf_pow_t = sf_pow_t * sf_t
         if e_pow.is_zero:
             break
         # G_n = g_n(arg, h) e^n evaluated on the module, arg = -mu - rho

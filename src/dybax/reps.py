@@ -319,18 +319,14 @@ def _restrict(big, embed):
 
 
 def _power_projector_rows(module, power, anti):
-    """Rows of the stacked pairwise projectors whose joint kernel is the
-    q-(anti)symmetric power inside the tensor power."""
+    """Rows of the stacked pairwise operators whose joint kernel is the
+    q-(anti)symmetric power inside the tensor power: PR has eigenvalues q
+    (symmetric part) and -q^-1 (antisymmetric part), so S^m is the kernel
+    of PR - q and Lambda^r that of PR + q^-1 in every adjacent pair."""
     ctx = module.ctx
     n = module.dim
     pr = permutation_matrix(n, n, ctx) * vector_R_matrix(module.datum, ctx)
-    q, qinv = ctx.q_power(1), ctx.q_power(-1)
-    denom = ctx.q_number(2)
-    # projector onto the PR eigenvalue q (symmetric part): (PR + q^{-1})/(q+q^{-1})
-    sym = (pr + Mat.identity(n * n, ctx) * qinv) * (ctx.one / denom)
-    # projector onto eigenvalue -q^{-1} (antisymmetric part): (q - PR)/(q+q^{-1})
-    asym = (Mat.identity(n * n, ctx) * q - pr) * (ctx.one / denom)
-    killer = sym if anti else asym
+    killer = pr + Mat.identity(n * n, ctx) * (ctx.q_power(-1) if anti else -ctx.q_power(1))
     dims = [n] * power
     idx = TensorIndex(dims)
     mats = [place_operator(killer, dims, k, k + 1) for k in range(power - 1)]

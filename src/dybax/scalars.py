@@ -35,10 +35,12 @@ integer point rule out is skipped, which is exact.  A polynomial is factored
 once, when its view is first asked for; sympy's ``cancel`` serves the tests
 as the reference.
 
-Only this module branches on how lambda is encoded: others read it through
-``Context.coordinate`` and ``Context.coordinate_value`` and move it by
-``shift_lambda``, ``permute_lambda`` and ``reflect_lambda``, the faces of one
-gcd-free body for lambda_a -> +-lambda_sigma(a) - mu_a.
+Only this module reads how a Scalar is stored or branches on how lambda is
+encoded: others read lambda through ``Context.coordinate`` and
+``Context.coordinate_value``, move it by ``shift_lambda``, ``permute_lambda``
+and ``reflect_lambda``, the faces of one gcd-free body for
+lambda_a -> +-lambda_sigma(a) - mu_a, invert q by ``invert_q`` and read a
+fraction by its lambda-exponents through ``lambda_graded``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from sympy.ntheory import nextprime
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.factortools import dup_factor_list
 from sympy.polys.fields import field as _sym_field
-from sympy.polys.matrices import DomainMatrix
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -77,16 +78,15 @@ class NotRegularError(ScalarError):
 class Context:
     """A fixed coefficient field: mode plus rank (number of lambda coordinates)."""
 
-    def __init__(self, mode, n, extra=()):
+    def __init__(self, mode, n):
         heads = {CLASSICAL: [], QUANTUM: ["s"], SYMBOL: ["e"] + [f"w{i + 1}" for i in range(n)]}
         if mode not in heads:
             raise ValueError(f"unknown mode {mode!r}")
         # the generator holding lambda_a: l_a, or t_a = q^(lambda_a) quantumly
         self._coordinates = tuple(f"{'t' if mode == QUANTUM else 'l'}{i + 1}" for i in range(n))
-        names = heads[mode] + list(self._coordinates) + list(extra)
+        names = heads[mode] + list(self._coordinates)
         self.mode = mode
         self.n = n
-        self.extra = tuple(extra)
         self.var_names = tuple(names)
         created = _sym_field(",".join(names), ZZ)
         self.field = created[0]
@@ -104,8 +104,8 @@ class Context:
 
     def stats(self):
         """Operation counts, trial divisions run and screened, factor count."""
-        return {"context": f"{self.mode} n={self.n}" + "".join(f" {x}" for x in self.extra),
-                **self.op_counts, "factors": len(self.factors.factors)}
+        return {"context": f"{self.mode} n={self.n}", **self.op_counts,
+                "factors": len(self.factors.factors)}
 
     def gen(self, name):
         return Scalar(self, self._gens[name])
@@ -202,13 +202,6 @@ def quantum_ctx(n):
 @lru_cache(maxsize=None)
 def symbol_ctx(n):
     return Context(SYMBOL, n)
-
-
-@lru_cache(maxsize=None)
-def aux_ctx(mode, n, extra):
-    """A field of the given mode with extra generators (the universal sl2
-    coefficients)."""
-    return Context(mode, n, extra=extra)
 
 
 def context_stats():
@@ -585,18 +578,21 @@ class Scalar:
 
     # -- structure ----------------------------------------------------------
 
-    def fraction_terms(self):
-        """Numerator and denominator as lists of (exponent tuple, Fraction),
-        one pair per monomial, exponents in the order of ``ctx.var_names``."""
-        return _rational_terms(self.f.numer), _rational_terms(self.f.denom)
+    def lambda_graded(self):
+        """Numerator and denominator as {exponents of the lambda-coordinates
+        (as `Context.coordinate` holds them): the Scalar in the other
+        generators that multiplies that coordinate monomial}."""
+        ctx = self.ctx
+        at = [ctx.var_names.index(x) for x in ctx._coordinates]
+        vals = [None if j in at else ctx.gen(name) for j, name in enumerate(ctx.var_names)]
+        return tuple(_graded_values(ctx, poly, lambda m: tuple(m[j] for j in at), vals)
+                     for poly in (self.f.numer, self.f.denom))
 
-    def convert(self, tgt, coords=(), extra=None):
+    def convert(self, tgt, coords):
         """Map into another context: lambda_a (as `Context.coordinate` holds
-        it) to coords[a] and an extra generator to extra[name], Scalars of
-        tgt; every other generator goes to the same-named generator of tgt."""
-        mapping = dict(extra or {})
-        mapping.update(zip(self.ctx._coordinates, coords))
-        return self._substitute(tgt, mapping, "conversion")
+        it) to coords[a], Scalars of tgt; every other generator goes to the
+        same-named generator of tgt."""
+        return self._substitute(tgt, dict(zip(self.ctx._coordinates, coords)), "conversion")
 
     def subs(self, mapping):
         """Substitute generators (by name) with Scalars of the same context."""
@@ -611,24 +607,11 @@ class Scalar:
             raise ZeroDivisionError(f"{what} produced a zero denominator")
         return num / den
 
-    def monomial_subs(self, mapping):
-        """``subs`` for a mapping that sends generators (by name) to Laurent
-        monomials with coefficient 1 and is a ring automorphism: a
-        permutation of generators, or generators rescaled by monomials in
-        the others.  It rewrites exponents and takes no gcd; any other
-        mapping raises ScalarError."""
-        names = self.ctx.var_names
-        images = {}
-        for name, value in mapping.items():
-            num, den = self.ctx(value).fraction_terms()
-            if len(num) != 1 or len(den) != 1 or num[0][1] != 1 or den[0][1] != 1:
-                raise ScalarError(f"{name} -> {value} is not a monomial")
-            images[names.index(name)] = tuple(a - b for a, b in zip(num[0][0], den[0][0]))
-        rows = [[ZZ(x) for x in images.get(j, [int(k == j) for k in range(len(names))])]
-                for j in range(len(names))]
-        if abs(DomainMatrix(rows, (len(names), len(names)), ZZ).det()) != 1:
-            raise ScalarError("monomial substitution is not an automorphism")
-        return self._moved(self.f, images)
+    def invert_q(self):
+        """x at q -> q^-1 (s -> 1/s), on a quantum field."""
+        if self.ctx.mode != QUANTUM:
+            raise ScalarError("only a quantum field has q to invert")
+        return self._moved(self.f, {0: [-1] + [0] * self.ctx.n})   # s is generator 0
 
     def diff_lambda(self, i, eps=None):
         """Exact partial derivative along lambda_{i+1}.
@@ -739,8 +722,6 @@ class Scalar:
         if order < 0:
             raise ValueError("order must be >= 0")
         ctx = self.ctx
-        if ctx.extra:
-            raise ScalarError("gamma_expand is not defined for auxiliary contexts")
         tgt = symbol_ctx(ctx.n)
         if ctx.mode == CLASSICAL:
             sides = [_classical_gamma_side(tgt, poly) for poly in (self.f.numer, self.f.denom)]
@@ -770,10 +751,6 @@ class Scalar:
         denominator in graded-lex monomial order, denominator content-free
         with positive leading coefficient."""
         return _fraction_text(self.ctx, self.f)
-
-
-def _rational_terms(poly):
-    return [(monom, Fraction(int(c))) for monom, c in poly.terms()]
 
 
 def _monomial_terms(poly, images, negated=()):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from dybax import acceptance
+from dybax import acceptance, cli
 from dybax.cli import FAMILIES, FAMILY_OPTIONS, build_parser, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,6 +165,14 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys, line):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert target in captured.err
+
+
+def test_unwritable_output_is_rejected_before_the_work(tmp_path, capsys, monkeypatch):
+    # the suite ran in full before the path was opened
+    calls = []
+    monkeypatch.setattr(cli, "family_check", lambda case: calls.append(case) or True)
+    code = main(["verify-suite", "--n", "3", "-o", str(tmp_path / "missing" / "x.json")])
+    assert code == 2 and capsys.readouterr().out == "" and calls == []
 
 
 @pytest.mark.parametrize("equation", ["hecke", "hecke-rep"])

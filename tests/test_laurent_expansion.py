@@ -19,14 +19,7 @@ GAMMA, ZETA = sp.symbols("gamma zeta")
 
 def to_sympy(x):
     """A Scalar as a sympy expression in its context's generator names."""
-    names = sp.symbols(x.ctx.var_names)
-
-    def poly(terms):
-        return sp.Add(*(sp.Rational(c) * sp.Mul(*(g ** e for g, e in zip(names, monom)))
-                        for monom, c in terms))
-
-    num, den = x.fraction_terms()
-    return poly(num) / poly(den)
+    return x.f.as_expr()
 
 
 def gamma_reference(x, order):
