@@ -20,10 +20,10 @@ Every series expansion of a fraction, the gamma-series of
 ``Scalar.gamma_expand`` and the zeta-series of the trace functions, is one
 ``laurent_quotient`` of two Laurent polynomials with Scalar coefficients.
 
-The backing representation is sympy's sparse polynomial fraction field over
-ZZ: numerator and denominator are coprime in Z[gens], their integer contents
-are coprime and the denominator's leading coefficient is positive, so two
-Scalars are equal iff their representations are identical.
+A Scalar holds its numerator and denominator as ``Poly``s, sparse
+polynomials over Z: they are coprime in Z[gens], their integer contents are
+coprime and the denominator's lex-leading coefficient is positive, so two
+Scalars are equal iff their numerators and denominators are.
 
 Field operations keep this form without a polynomial gcd: every
 denominator has a factored view (``FactorBase``), a positive integer times a
@@ -32,8 +32,9 @@ trial-divides each numerator by the other denominator's factors, and a sum
 trial-divides the lifted sum by the factors of the common denominator; one
 integer gcd settles the contents.  A trial division that the values at one
 integer point rule out is skipped, which is exact.  A polynomial is factored
-once, when its view is first asked for; sympy's ``cancel`` serves the tests
-as the reference.
+once, when its view is first asked for (``_irreducible_factors``).  The
+lambda-derivative is the quotient rule through the same sum, and a
+lambda-translation a Taylor shift, so no gcd is taken anywhere.
 
 Only this module reads how a Scalar is stored or branches on how lambda is
 encoded: others read lambda through ``Context.coordinate`` and
@@ -47,13 +48,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from itertools import combinations, count, islice
+from math import comb, gcd, isqrt, lcm, prod
 from weakref import WeakSet
-
-from sympy.ntheory import nextprime
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.factortools import dup_factor_list
-from sympy.polys.fields import field as _sym_field
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -75,6 +72,103 @@ class NotRegularError(ScalarError):
     """The gamma-series of this value has a pole at gamma = 0."""
 
 
+class Poly(dict):
+    """A polynomial in Z[gens]: {exponent tuple: nonzero int}, not changed
+    once built.  ``_poly_type(n)`` derives the class of the n-generator
+    ring, which carries ``ngens`` and the monomial adder of that arity.  The
+    leading term is the lex-greatest."""
+
+    __slots__ = ("_hash",)
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash(frozenset(self.items()))
+            return h
+
+    def __neg__(self):
+        return type(self)({m: -c for m, c in self.items()})
+
+    def __add__(self, other):
+        out = type(self)(self)
+        get = out.get
+        for m, c in other.items():
+            c += get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return out
+
+    def __mul__(self, other):
+        cls = type(self)
+        add = cls._add
+        if len(self) > len(other):
+            self, other = other, self
+        if len(self) <= 1:
+            if not self:
+                return cls()
+            (n, d), = self.items()
+            return cls({add(m, n): c * d for m, c in other.items()})
+        out = cls()
+        get = out.get
+        terms = list(other.items())
+        for n, d in self.items():
+            for m, c in terms:
+                k = add(m, n)
+                out[k] = get(k, 0) + c * d
+        for k in [k for k, c in out.items() if not c]:
+            del out[k]
+        return out
+
+    def __pow__(self, k):
+        if len(self) == 1:
+            (m, c), = self.items()
+            return type(self)({tuple(e * k for e in m): c ** k})
+        out = _constant(type(self), 1)
+        for _ in range(k):
+            out = out * self
+        return out
+
+
+@lru_cache(maxsize=None)
+def _poly_type(ngens):
+    """The Poly class of Z[x_1..x_ngens].  Its monomial adder is generated
+    for the arity: a tuple display adds exponents faster than a map."""
+    body = "".join(f"a[{j}] + b[{j}], " for j in range(ngens))
+    add = eval(f"lambda a, b: ({body})")    # noqa: S307 - built from integers
+    return type("Poly", (Poly,), {"__slots__": (), "ngens": ngens,
+                                  "zero_monom": (0,) * ngens, "_add": staticmethod(add)})
+
+
+def _constant(cls, c):
+    return cls({cls.zero_monom: c}) if c else cls()
+
+
+def _generator(cls, j):
+    return cls({tuple(int(i == j) for i in range(cls.ngens)): 1})
+
+
+def _lc(poly):
+    """The lex-leading coefficient of a nonzero poly."""
+    return poly[max(poly)]
+
+
+def _degrees(poly):
+    """The degree of a nonzero poly in each generator."""
+    return tuple(map(max, zip(*poly)))
+
+
+def _is_ground(poly):
+    return not poly or (len(poly) == 1 and poly.zero_monom in poly)
+
+
+def _quo_int(poly, c):
+    """poly divided by an integer c that divides every coefficient."""
+    return type(poly)({m: v // c for m, v in poly.items()})
+
+
 class Context:
     """A fixed coefficient field: mode plus rank (number of lambda coordinates)."""
 
@@ -88,27 +182,27 @@ class Context:
         self.mode = mode
         self.n = n
         self.var_names = tuple(names)
-        created = _sym_field(",".join(names), ZZ)
-        self.field = created[0]
-        self._gens = {name: g for name, g in zip(names, created[1:])}
-        # the same polynomials over QQ, where the Taylor shifts run
-        self._qq_ring = self.field.ring.clone(domain=QQ)
-        self.op_counts = {"mul": 0, "add": 0, "div": 0, "divisions": 0, "screened": 0}
-        self.factors = FactorBase(self.field.ring, self.op_counts)
-        self.zero = Scalar(self, self.field.zero)
-        self.one = Scalar(self, self.field.one)
+        self.ring = _poly_type(len(names))
+        self._gens = {name: _generator(self.ring, j) for j, name in enumerate(names)}
+        self._one = _constant(self.ring, 1)
+        self.op_counts = {"mul": 0, "add": 0, "div": 0, "divisions": 0, "screened": 0,
+                          "fallbacks": 0}
+        self.factors = FactorBase(self.ring, self.op_counts)
+        self.zero = Scalar(self, self.ring(), self._one, (1, ()))
+        self.one = Scalar(self, self._one, self._one, (1, ()))
         _CONTEXTS.add(self)
 
     def __repr__(self):
         return f"Context({self.mode}, n={self.n})"
 
     def stats(self):
-        """Operation counts, trial divisions run and screened, factor count."""
+        """Operation counts, trial divisions run and screened, leftovers
+        factored by sympy, factor count."""
         return {"context": f"{self.mode} n={self.n}", **self.op_counts,
                 "factors": len(self.factors.factors)}
 
     def gen(self, name):
-        return Scalar(self, self._gens[name])
+        return Scalar(self, self._gens[name], self._one, (1, ()))
 
     def lam(self, i):
         """The coordinate l_{i+1} as a Scalar (classical/symbol modes)."""
@@ -178,9 +272,8 @@ class Context:
 
     def from_fraction(self, value):
         value = Fraction(value)
-        ring = self.field.ring
-        return Scalar(self, self.field.raw_new(ring.ground_new(value.numerator),
-                                               ring.ground_new(value.denominator)))
+        return Scalar(self, _constant(self.ring, value.numerator),
+                      _constant(self.ring, value.denominator), (value.denominator, ()))
 
     def __call__(self, value):
         if isinstance(value, Scalar):
@@ -235,7 +328,7 @@ class FactorBase:
     def __init__(self, ring, counts):
         self.ring = ring
         self.counts = counts     # the Context's op_counts
-        self.point = [nextprime(1009 * 4 ** j - 1) for j in range(ring.ngens)]
+        self.point = [_least_prime_from(1009 * 4 ** j) for j in range(ring.ngens)]
         self.factors = []
         self._records = []       # per factor: (degrees, lead, lead coeff, other terms, f(a))
         self._index = {}         # factor -> its index
@@ -248,7 +341,7 @@ class FactorBase:
             index = self._index[poly] = len(self.factors)
             self.factors.append(poly)
             lead = max(poly)
-            self._records.append((poly.degrees(), lead, poly[lead],
+            self._records.append((_degrees(poly), lead, poly[lead],
                                   [(m, c) for m, c in poly.items() if m != lead],
                                   _value(poly, self.point)))
         return index
@@ -270,15 +363,15 @@ class FactorBase:
         for i, _ in view[1]:
             if self._records[i][3]:
                 factor = self.factors[i]
-                image = factor.new(_lowered(_monomial_terms(factor, images, negated)))
-                self._intern(image if image.LC > 0 else -image)
+                image = self.ring(_lowered(_monomial_terms(factor, images, negated)))
+                self._intern(image if _lc(image) > 0 else -image)
 
     def expand(self, view):
         """The polynomial of a view."""
         poly = self._expanded.get(view)
         if poly is None:
             c, exps = view
-            poly = self.ring.ground_new(c)
+            poly = _constant(self.ring, c)
             for i, e in exps:
                 poly = poly * self.factors[i] ** e
             self._expanded[view] = poly
@@ -287,11 +380,11 @@ class FactorBase:
     def _build(self, poly):
         c = gcd(*poly.values())
         if c != 1:
-            poly = poly.quo_ground(c)
+            poly = _quo_int(poly, c)
         exps = {}
         poly = self._divide_out(poly, dict.fromkeys(range(len(self.factors))), exps)
-        if not poly.is_ground:
-            for factor, e in _irreducible_factors(poly):
+        if not _is_ground(poly):
+            for factor, e in _irreducible_factors(poly, self.counts):
                 exps[self._intern(factor)] = e
         return _view(c, exps)
 
@@ -305,7 +398,7 @@ class FactorBase:
             if limit == 0:
                 continue
             if degrees is None:
-                degrees = poly.degrees()
+                degrees = _degrees(poly)
             record = self._records[i]
             at = record[4]
             taken = 0
@@ -322,14 +415,14 @@ class FactorBase:
                 if quotient is None:
                     break
                 poly, taken = quotient, taken + 1
-                degrees = poly.degrees()
+                degrees = _degrees(poly)
                 value = value // at if at and value is not None else None
             if taken:
                 if found is not None:
                     found[i] = found.get(i, 0) + taken
                 if limit is not None:
                     limits[i] = limit - taken
-            if poly.is_ground:
+            if _is_ground(poly):
                 break
         return poly
 
@@ -343,7 +436,9 @@ class FactorBase:
         return _reduce_content(na * nb, va[0] * vb[0], ea)
 
     def sum(self, na, va, nb, vb):
-        """Reduced (numerator, view) of na / va + nb / vb, both reduced."""
+        """Reduced (numerator, view) of na / va + nb / vb, for any
+        numerators and views: the lifted sum is divided by every factor of
+        the common denominator as often as it goes."""
         if va == vb:
             c, exps = va[0], dict(va[1])
             num = na + nb
@@ -370,7 +465,7 @@ def _reduce_content(num, c, exps):
     """(num, view of c * exps) after dividing out their common integer."""
     g = gcd(c, *num.values())
     if g != 1:
-        num, c = num.quo_ground(g), c // g
+        num, c = _quo_int(num, g), c // g
     return num, _view(c, exps)
 
 
@@ -379,9 +474,10 @@ def _exact_quotient(poly, record):
     Z[gens], else None.  The division runs on lex-leading terms and stops at
     the first one that f's leading term does not divide."""
     _, lead, lead_c, rest, _ = record
-    if not rest:        # a generator: shift every exponent
-        quo = {tuple(a - b for a, b in zip(m, lead)): c for m, c in poly.items()}
-        return None if any(min(m) < 0 for m in quo) else poly.new(quo)
+    if not rest:        # a monomial (a generator, once interned): shift every exponent
+        if not all(m[j] >= k for j, k in enumerate(lead) if k for m in poly):
+            return None
+        return type(poly)({tuple(a - b for a, b in zip(m, lead)): c for m, c in poly.items()})
     rem = dict(poly)
     quo = {}
     while rem:
@@ -399,7 +495,7 @@ def _exact_quotient(poly, record):
                 rem[t] = v
             else:
                 del rem[t]
-    return poly.new(quo)
+    return type(poly)(quo)
 
 
 def _value(poly, point):
@@ -415,79 +511,539 @@ def _lowered(terms, low=None):
     return {tuple(a - b for a, b in zip(m, low)): c for m, c in terms.items()}
 
 
-def _irreducible_factors(poly):
+def _is_prime(n):
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+@lru_cache(maxsize=None)
+def _least_prime_from(n):
+    while not _is_prime(n):
+        n += 1
+    return n
+
+
+# -- factoring in Z[gens] -----------------------------------------------------
+
+
+def _irreducible_factors(poly, counts=None):
     """The irreducible factors of a nonzero poly in Z[gens] with their
-    multiplicities, each primitive with positive leading coefficient.
+    multiplicities, each primitive with positive leading coefficient; the
+    integer content is dropped.
 
-    After its monomial factor, poly is x^m P(x^e) if every exponent
-    difference of its terms is a multiple of one primitive vector e (a
-    binomial always is); a monomial change of coordinates on the Laurent
-    torus sends x^e to one generator and keeps each factor irreducible, so
-    poly factors as P in one variable.  Any other poly first splits off its
-    content in one generator (the gcd of its coefficients over the others);
-    what is left is irreducible if of degree one, else goes to sympy's
-    ``factor_list``."""
+    After the generators, a factor in one variable of the Laurent torus is
+    split off by ``_line_factors``, a degree-one poly is irreducible, a
+    perfect power is its root's factors taken k times, and what is left is
+    proved irreducible, or split into factors in disjoint generators, by
+    ``_specialisation_certificate``.  A poly that certificate cannot settle
+    goes to sympy's ``factor_list`` and counts in ``counts["fallbacks"]``."""
     low = tuple(map(min, zip(*poly)))
-    out = [(poly.ring.gens[j], k) for j, k in enumerate(low) if k]
-    terms = _lowered(poly, low)
-    if len(terms) == 1:
-        return out
-    line = _on_a_line(list(terms))
-    if line is None:
-        poly = poly.new(terms)
-        for x in poly.ring.gens:
-            content = poly.drop_to_ground(x).content().set_ring(poly.ring)
-            if not content.is_ground:
-                return (out + _irreducible_factors(content)
-                        + _irreducible_factors(poly.exquo(content)))
-        factors = [(poly.primitive()[1], 1)] if poly.is_linear else poly.factor_list()[1]
-    else:
-        e, ks = line
-        top = max(ks)
-        dense = [ZZ(0)] * (top - min(ks) + 1)      # P, highest degree first
-        for c, k in zip(terms.values(), ks):
-            dense[top - k] = c
+    cls = type(poly)
+    out = [(_generator(cls, j), k) for j, k in enumerate(low) if k]
+    terms = cls(_lowered(poly, low))
+    content = gcd(*terms.values()) * (1 if _lc(terms) > 0 else -1)
+    return out + _primitive_factors(_quo_int(terms, content), counts)
+
+
+def _primitive_factors(poly, counts):
+    """``_irreducible_factors`` of a primitive poly with positive leading
+    coefficient and no monomial factor."""
+    if len(poly) == 1:
+        return []
+    if all(sum(m) <= 1 for m in poly):
+        return [(poly, 1)]
+    lines = _line_factors(poly)
+    if lines is not None:
+        factors, rest = lines
+        return factors + _primitive_factors(rest, counts)
+    power = _perfect_power(poly)
+    if power is not None:
+        root, k = power
+        return [(f, e * k) for f, e in _primitive_factors(root, counts)]
+    certificate = _specialisation_certificate(poly)
+    if certificate is True:
+        return [(poly, 1)]
+    if certificate:
+        return [x for part in certificate for x in _primitive_factors(part, counts)]
+    if counts is not None:
+        counts["fallbacks"] += 1
+    return [(_positive(f), k) for f, k in _factor_list(poly)]
+
+
+def _positive(poly):
+    return poly if _lc(poly) > 0 else -poly
+
+
+def _line_factors(poly):
+    """(factors, rest): the factors of poly of the form x^a h(x^e) for one
+    primitive direction e, with multiplicities, and poly divided by them;
+    None if poly has no such factor of positive degree.
+
+    A monomial change of coordinates on the Laurent torus sends x^e to one
+    generator y, so these factors are the content of poly in y: the gcd of
+    its parts, one per coset of the exponents mod Z e, each read as a
+    polynomial in y.  A nonconstant content makes every part at least a
+    binomial; in particular the part of the leading monomial, so e is
+    among the directions from it to the other monomials."""
+    cls = type(poly)
+    lead = max(poly)
+    tried = set()
+    for other in poly:
+        step = [a - b for a, b in zip(other, lead)]
+        g = gcd(*step)
+        if not g:
+            continue
+        j = next(i for i, x in enumerate(step) if x)
+        e = tuple(x // (g if step[j] > 0 else -g) for x in step)
+        if e in tried:
+            continue
+        tried.add(e)
+        cosets = {}
+        for m, c in poly.items():
+            k = m[j] // e[j]
+            cosets.setdefault(tuple(a - k * b for a, b in zip(m, e)), {})[k] = c
+        if any(len(part) < 2 for part in cosets.values()):
+            continue
+        parts, content = [], None
+        for key, part in cosets.items():
+            low = min(part)
+            dense = [part.get(k, 0) for k in range(max(part), low - 1, -1)]
+            parts.append((key, low, dense))
+            content = _dup_primitive(dense) if content is None else _dup_gcd(content, dense)
+            if len(content) == 1:
+                break
+        if len(content) == 1:
+            continue
+        # y = x^plus / x^minus, and h[i] is the coefficient of y^(deg h - i);
+        # e[j] > 0 makes y^(deg h) the lex-leading term
         plus, minus = [max(x, 0) for x in e], [max(-x, 0) for x in e]
-        # g[i] is the coefficient of y^(deg g - i), and y = x^plus / x^minus
-        factors = [(poly.new({tuple((len(g) - 1 - i) * a + i * b
-                                    for a, b in zip(plus, minus)): c
-                              for i, c in enumerate(g) if c}), k)
-                   for g, k in dup_factor_list(dense, ZZ)[1]]
-    return out + [(f if f.LC > 0 else -f, k) for f, k in factors]
+        factors = [(cls({tuple((len(h) - 1 - i) * a + i * b for a, b in zip(plus, minus)): c
+                         for i, c in enumerate(h) if c}), k) for h, k in _dup_factor(content)]
+        # poly / prod of the factors: each part divided by the content
+        d, rest = len(content) - 1, {}
+        for key, low, dense in parts:
+            for i, c in enumerate(reversed(_dup_quotient(dense, content))):
+                if c:
+                    rest[tuple(a + (low + i) * b - d * x
+                               for a, b, x in zip(key, e, minus))] = c
+        return factors, cls(rest)
+    return None
 
 
-def _on_a_line(monomials):
-    """(e, ks) with monomials[i] = monomials[0] + ks[i] * e for a primitive
-    vector e, or None if the (at least two) monomials are not on a line."""
-    diffs = [[a - b for a, b in zip(m, monomials[0])] for m in monomials]
-    step = diffs[1]
-    e = [x // gcd(*step) for x in step]
-    j = next(i for i, x in enumerate(e) if x)
-    ks = [d[j] // e[j] for d in diffs]
-    if any(x != k * y for d, k in zip(diffs, ks) for x, y in zip(d, e)):
-        return None
-    return e, ks
+def _perfect_power(poly):
+    """(root, k) with poly = root^k for a prime k, or None; poly primitive
+    with positive leading coefficient.
+
+    The root is built from the top in lex order: with its leading term r
+    and the terms found so far Q, the leading term of poly - Q^k is
+    k r^(k-1) t for the next term t of the root."""
+    degrees, lead = _degrees(poly), max(poly)
+    g = gcd(*degrees, max(map(sum, poly)))
+    for k in (k for k in range(2, g + 1) if g % k == 0 and _is_prime(k)):
+        r = _integer_root(poly[lead], k)
+        if r is None or any(x % k for x in lead):
+            continue
+        top = tuple(x // k for x in lead)
+        root = type(poly)({top: r})
+        scale, shift = k * r ** (k - 1), tuple((k - 1) * x for x in top)
+        last = top
+        while True:
+            rest = poly + -(root ** k)
+            if not rest:
+                return root, k
+            m = max(rest)
+            t = tuple(a - b for a, b in zip(m, shift))
+            c, bad = divmod(rest[m], scale)
+            if bad or not t < last or min(t) < 0 or any(map(int.__gt__, t, degrees)):
+                break
+            root[t], last = c, t
+    return None
+
+
+def _integer_root(n, k):
+    """The integer k-th root of n > 0 if n is a k-th power, else None."""
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r if r ** k == n else None
+        r = s
+
+
+def _specialisation_certificate(poly):
+    """True if poly (primitive, no monomial factor) is irreducible, two
+    nonconstant factors in disjoint sets of generators if it has them, or
+    None if this test cannot tell.
+
+    Setting every generator but x to integers where poly keeps its
+    x-degree and becomes irreducible shows that a factorisation poly = A B
+    puts x in at most one of A and B.  Once every generator of poly passes,
+    A and B lie in disjoint sets of generators, which the coefficient
+    matrix of poly over each split of its generators tells (rank one)."""
+    cls = type(poly)
+    present = [j for j, d in enumerate(_degrees(poly)) if d]
+    for j in present:
+        if not any(_irreducible_at(poly, j, point) for point in _specialisations(cls.ngens)):
+            return None
+    for mask in range(1, 1 << (len(present) - 1)):
+        side = {x for i, x in enumerate(present[1:]) if mask >> i & 1}
+        rows, cols = {}, set()
+        for m, c in poly.items():
+            row = tuple(0 if i in side else x for i, x in enumerate(m))
+            col = tuple(x if i in side else 0 for i, x in enumerate(m))
+            rows.setdefault(row, {})[col] = c
+            cols.add(col)
+        if len(rows) * len(cols) != len(poly):
+            continue
+        (row0, first), *others = rows.items()
+        col0, c0 = next(iter(first.items()))
+        if all(c * c0 == first[col] * line[col0] for _, line in others
+               for col, c in line.items()):
+            a = _positive(cls({row: line[col0] for row, line in rows.items()}))
+            a = _quo_int(a, gcd(*a.values()))
+            return a, cls({col: c // a[row0] for col, c in first.items()})
+    return True
+
+
+@lru_cache(maxsize=None)
+def _specialisations(ngens):
+    """Two integer points for the certificate, tried in turn: the first
+    2 * ngens primes."""
+    primes = list(islice(filter(_is_prime, count(2)), 2 * ngens))
+    return primes[:ngens], primes[ngens:]
+
+
+def _irreducible_at(poly, j, point):
+    """True if poly, with every generator but x_j set to the point's values,
+    keeps its x_j-degree and is irreducible over Q."""
+    coeffs = {}
+    for m, c in poly.items():
+        value = c * prod(v ** e for i, (v, e) in enumerate(zip(point, m)) if i != j)
+        coeffs[m[j]] = coeffs.get(m[j], 0) + value
+    top = max(coeffs)
+    if not coeffs[top]:
+        return False
+    factors = _dup_factor([coeffs.get(k, 0) for k in range(top, -1, -1)])
+    return len(factors) == 1 and factors[0][1] == 1 and len(factors[0][0]) == top + 1
+
+
+def _factor_list(poly):
+    """sympy's factor_list of poly, imported here, for a poly that the
+    in-house tests cannot settle."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    sym = ring([f"x{j}" for j in range(poly.ngens)], ZZ)[0]
+    return [(type(poly)({m: int(c) for m, c in f.items()}), k)
+            for f, k in sym(dict(poly)).factor_list()[1]]
+
+
+# -- factoring in Z[y]: dense coefficient lists, highest degree first ----------
+
+
+def _dup_strip(f):
+    i = 0
+    while i < len(f) and not f[i]:
+        i += 1
+    return f[i:]
+
+
+def _dup_add(f, g):
+    if len(f) < len(g):
+        f, g = g, f
+    out, off = list(f), len(f) - len(g)
+    for i, c in enumerate(g):
+        out[off + i] += c
+    return _dup_strip(out)
+
+
+def _dup_mul(f, g):
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def _dup_primitive(f):
+    """f (nonzero) divided by its content, with positive leading coefficient."""
+    c = gcd(*f) * (1 if f[0] > 0 else -1)
+    return [x // c for x in f]
+
+
+def _dup_quotient(f, g):
+    """f / g in Z[y] if g divides f, else None."""
+    r, q, n = list(f), [], len(g) - 1
+    for i in range(len(f) - n):
+        c, bad = divmod(r[i], g[0])
+        if bad:
+            return None
+        q.append(c)
+        if c:
+            for j in range(1, n + 1):
+                r[i + j] -= c * g[j]
+    return None if any(r[max(len(f) - n, 0):]) else q
+
+
+def _dup_gcd(f, g):
+    """The primitive gcd of nonzero f and g, with positive leading
+    coefficient, by primitive pseudo-remainder sequences."""
+    f, g = _dup_primitive(f), _dup_primitive(g)
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        r, n = list(f), len(g) - 1
+        for i in range(len(f) - n):
+            c = r[i]
+            r = [x * g[0] for x in r]
+            for j in range(n + 1):
+                r[i + j] -= c * g[j]
+        r = _dup_strip(r)
+        if not r:
+            return g
+        f, g = g, _dup_primitive(r)
+    return [1]
+
+
+def _dup_factor(f):
+    """The irreducible factors of a nonzero f in Z[y] with multiplicities,
+    each primitive with positive leading coefficient; the content is
+    dropped.  A squarefree decomposition, then ``_dup_factor_squarefree``."""
+    f = _dup_primitive(_dup_strip(f))
+    out = []
+    if len(f) < 2:
+        return out
+    n = len(f) - 1
+    g = _dup_gcd(f, [c * (n - i) for i, c in enumerate(f[:-1])])
+    w, k = _dup_quotient(f, g), 1
+    while len(w) > 1:
+        y = _dup_gcd(w, g)
+        z = _dup_quotient(w, y)
+        if len(z) > 1:
+            out.extend((h, k) for h in _dup_factor_squarefree(z))
+        g, w, k = _dup_quotient(g, y), y, k + 1
+    return out
+
+
+def _dup_factor_squarefree(f):
+    """The irreducible factors of a primitive squarefree f with positive
+    leading coefficient (Berlekamp-Zassenhaus): factor f mod the best of
+    three small primes, Hensel-lift the factors mod p^k beyond twice the
+    Mignotte bound, and recombine them, checking each candidate by exact
+    division."""
+    n = len(f) - 1
+    if n < 2:
+        return [f]
+    lc = f[0]
+    best, tried = None, 0
+    derivative = [c * (n - i) for i, c in enumerate(f[:-1])]
+    for p in filter(_is_prime, count(3)):
+        if lc % p == 0 or len(_gf_gcd(_gf(f, p), _gf(derivative, p), p)) > 1:
+            continue
+        factors = _gf_factor(_gf_monic(_gf(f, p), p), p)
+        if best is None or len(factors) < len(best[1]):
+            best = p, factors
+        tried += 1
+        if tried == 3 or len(factors) == 1:
+            break
+    p, factors = best
+    if len(factors) == 1:
+        return [f]
+    bound = 2 * lc * 2 ** n * (isqrt(sum(c * c for c in f)) + 1)
+    k = 1
+    while p ** k <= bound:
+        k += 1
+    modulus = p ** k
+    monic = [c * pow(lc, -1, modulus) % modulus for c in f]
+    lifted = _hensel_lift(monic, factors, p, k)
+    out, rest, size = [], f, 1
+    while 2 * size <= len(lifted):
+        for subset in combinations(range(len(lifted)), size):
+            g = [rest[0]]
+            for i in subset:
+                g = [c % modulus for c in _dup_mul(g, lifted[i])]
+            g = _dup_primitive([c - modulus if c > modulus // 2 else c for c in g])
+            q = _dup_quotient(rest, g)
+            if q is not None:
+                out.append(g)
+                rest = q
+                lifted = [h for i, h in enumerate(lifted) if i not in subset]
+                break
+        else:
+            size += 1
+    return out + [rest]
+
+
+
+
+def _hensel_lift(f, factors, p, k):
+    """Monic lifts mod p^k of the monic factors mod p of f, a monic
+    polynomial mod p^k, with f = prod of the lifts mod p^k: a tree of
+    two-factor linear Hensel steps."""
+    if len(factors) == 1:
+        return [f]
+    half = len(factors) // 2
+    g, h = (_gf_product(part, p) for part in (factors[:half], factors[half:]))
+    s, t = _gf_xgcd(g, h, p)        # s g + t h = 1 mod p
+    m = p
+    for _ in range(k - 1):
+        e = _gf([c // m for c in _dup_add(f, [-c for c in _dup_mul(g, h)])], p)
+        q, tau = _gf_divmod(_dup_mul(t, e), g, p)
+        sigma = _gf(_dup_add(_dup_mul(s, e), _dup_mul(q, h)), p)
+        g = _dup_add(g, [m * c for c in tau])
+        h = _dup_add(h, [m * c for c in sigma])
+        m *= p
+    return _hensel_lift(g, factors[:half], p, k) + _hensel_lift(h, factors[half:], p, k)
+
+
+# -- polynomials over GF(p), dense and highest degree first -------------------
+
+
+def _gf(f, p):
+    return _dup_strip([c % p for c in f])
+
+
+def _gf_monic(f, p):
+    inv = pow(f[0], -1, p)
+    return [c * inv % p for c in f]
+
+
+def _gf_product(factors, p):
+    out = [1]
+    for g in factors:
+        out = _gf(_dup_mul(out, g), p)
+    return out
+
+
+def _gf_divmod(f, g, p):
+    """Quotient and remainder of f by g (g nonzero) over GF(p)."""
+    inv, n = pow(g[0], -1, p), len(g) - 1
+    r, q = [c % p for c in f], []
+    for i in range(len(f) - n):
+        c = r[i] * inv % p
+        q.append(c)
+        if c:
+            for j in range(1, n + 1):
+                r[i + j] = (r[i + j] - c * g[j]) % p
+    return _dup_strip(q), _dup_strip(r[max(len(f) - n, 0):])
+
+
+def _gf_gcd(f, g, p):
+    """The monic gcd over GF(p); [] if both are zero."""
+    while g:
+        f, g = g, _gf_divmod(f, g, p)[1]
+    return _gf_monic(f, p) if f else f
+
+
+def _gf_xgcd(f, g, p):
+    """(s, t) with s f + t g = 1 over GF(p), for coprime f and g."""
+    r0, r1, s0, s1, t0, t1 = f, g, [1], [], [], [1]
+    while r1:
+        q, r = _gf_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _gf(_dup_add(s0, [-c for c in _dup_mul(q, s1)]), p)
+        t0, t1 = t1, _gf(_dup_add(t0, [-c for c in _dup_mul(q, t1)]), p)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _gf_factor(f, p):
+    """The monic irreducible factors of a monic squarefree f over GF(p),
+    by Berlekamp: the g with g^p = g mod f form a space whose dimension is
+    the number of factors, and gcd(h, g - s) over s in GF(p) splits every
+    reducible factor h for some g of its basis."""
+    n = len(f) - 1
+    xp = _gf_divmod(_gf_power(p, f, p), f, p)[1]
+    rows, power = [], [1]
+    for _ in range(n):
+        rows.append(([0] * (n - len(power)) + power)[::-1])    # lowest degree first
+        power = _gf_divmod(_dup_mul(power, xp), f, p)[1]
+    basis = _gf_kernel([[(rows[j][i] - (i == j)) % p for j in range(n)] for i in range(n)], p)
+    factors = [f]
+    for v in basis:
+        g = _dup_strip(v[::-1])
+        for s in range(p):
+            if len(factors) == len(basis) or len(g) < 2:
+                break
+            shifted = _gf(g[:-1] + [g[-1] - s], p)
+            split = []
+            for h in factors:
+                d = _gf_gcd(h, shifted, p) if len(h) > 2 else h
+                if 1 < len(d) < len(h):
+                    split += [d, _gf_divmod(h, d, p)[0]]
+                else:
+                    split.append(h)
+            factors = split
+    return factors
+
+
+def _gf_power(e, f, p):
+    """y^e mod f over GF(p)."""
+    out, base = [1], [1, 0]
+    while e:
+        if e & 1:
+            out = _gf_divmod(_dup_mul(out, base), f, p)[1]
+        base = _gf_divmod(_dup_mul(base, base), f, p)[1]
+        e >>= 1
+    return out
+
+
+def _gf_kernel(rows, p):
+    """A basis of the kernel of a square matrix over GF(p)."""
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        r = len(pivots)
+        k = next((i for i in range(r, n) if rows[i][col]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        inv = pow(rows[r][col], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(n):
+            if i != r and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for col in (c for c in range(n) if c not in pivots):
+        v = [0] * n
+        v[col] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = -rows[i][col] % p
+        basis.append(v)
+    return basis
 
 
 def _from_view(ctx, num, view):
-    return Scalar(ctx, ctx.field.raw_new(num, ctx.factors.expand(view)), view)
+    return Scalar(ctx, num, ctx.factors.expand(view), view)
 
 
 class Scalar:
     """Element of a Context's fraction field. Immutable and canonical."""
 
-    __slots__ = ("ctx", "f", "_view")
+    __slots__ = ("ctx", "numer", "denom", "_view")
 
-    def __init__(self, ctx, f, view=_UNSET):
+    def __init__(self, ctx, numer, denom, view=_UNSET):
         self.ctx = ctx
-        self.f = f
+        self.numer = numer
+        self.denom = denom
         self._view = view
+
+    @property
+    def f(self):
+        """The numerator, false exactly when the Scalar is zero
+        (`perfbench/tracer.py` reads a product's operands through it)."""
+        return self.numer
 
     def denominator_view(self):
         """The FactorBase view of the denominator."""
         view = self._view
         if view is _UNSET:
-            view = self._view = self.ctx.factors.view(self.f.denom)
+            view = self._view = self.ctx.factors.view(self.denom)
         return view
 
     # -- arithmetic ---------------------------------------------------------
@@ -510,71 +1066,72 @@ class Scalar:
 
     def __truediv__(self, other):
         other = self.ctx(other)
-        if not other.f:
+        if not other.numer:
             raise ZeroDivisionError("division by zero Scalar")
         return self._product(other._inverse(), "div")
 
     def __rtruediv__(self, other):
-        if not self.f:
+        if not self.numer:
             raise ZeroDivisionError("division by zero Scalar")
         return self.ctx(other)._product(self._inverse(), "div")
 
     def _product(self, other, op):
         ctx = self.ctx
         ctx.op_counts[op] += 1
-        if not self.f or not other.f:
+        if not self.numer or not other.numer:
             return ctx.zero
-        return _from_view(ctx, *ctx.factors.product(self.f.numer, self.denominator_view(),
-                                                    other.f.numer, other.denominator_view()))
+        return _from_view(ctx, *ctx.factors.product(self.numer, self.denominator_view(),
+                                                    other.numer, other.denominator_view()))
 
     def _sum(self, other, sign):
         ctx = self.ctx
-        g = other.f if sign > 0 else -other.f
+        g = other.numer if sign > 0 else -other.numer
         ctx.op_counts["add"] += 1
-        if not g or not self.f:
-            return self if not g else Scalar(ctx, g, other._view)
-        return _from_view(ctx, *ctx.factors.sum(self.f.numer, self.denominator_view(),
-                                                g.numer, other.denominator_view()))
+        if not g or not self.numer:
+            return self if not g else Scalar(ctx, g, other.denom, other._view)
+        return _from_view(ctx, *ctx.factors.sum(self.numer, self.denominator_view(),
+                                                g, other.denominator_view()))
 
     def _inverse(self):
         """1 / self (self nonzero)."""
-        num, den = self.f.numer, self.f.denom
-        if num.LC < 0:
+        num, den = self.numer, self.denom
+        if _lc(num) < 0:
             num, den = -num, -den
-        return Scalar(self.ctx, self.f.raw_new(den, num))
+        return Scalar(self.ctx, den, num)
 
     def __pow__(self, k):
         if k < 0:
-            if not self.f:
+            if not self.numer:
                 raise ZeroDivisionError("negative power of zero Scalar")
             return self._inverse() ** -k
         view = self._view
         if view is not _UNSET:
             view = _view(view[0] ** k, {i: e * k for i, e in view[1]})
-        return Scalar(self.ctx, self.f ** k, view)
+        return Scalar(self.ctx, self.numer ** k, self.denom ** k, view)
 
     def __neg__(self):
-        return Scalar(self.ctx, -self.f, self._view)
+        return Scalar(self.ctx, -self.numer, self.denom, self._view)
 
     def __eq__(self, other):
-        if isinstance(other, Scalar):
-            return self.ctx is other.ctx and self.f == other.f
         if isinstance(other, (int, Fraction)):
-            return self.f == self.ctx(other).f
-        return NotImplemented
+            other = self.ctx(other)
+        elif not isinstance(other, Scalar):
+            return NotImplemented
+        return (self.ctx is other.ctx and self.numer == other.numer
+                and self.denom == other.denom)
 
     def __hash__(self):
-        return hash((id(self.ctx), self.f))
+        return hash((id(self.ctx), self.numer, self.denom))
 
     def __bool__(self):
-        return bool(self.f)
+        return bool(self.numer)
 
     @property
     def is_zero(self):
-        return not self.f
+        return not self.numer
 
     def __repr__(self):
-        return f"Scalar({self.f})"
+        return f"Scalar({self.to_text()})"
 
     # -- structure ----------------------------------------------------------
 
@@ -586,7 +1143,7 @@ class Scalar:
         at = [ctx.var_names.index(x) for x in ctx._coordinates]
         vals = [None if j in at else ctx.gen(name) for j, name in enumerate(ctx.var_names)]
         return tuple(_graded_values(ctx, poly, lambda m: tuple(m[j] for j in at), vals)
-                     for poly in (self.f.numer, self.f.denom))
+                     for poly in (self.numer, self.denom))
 
     def convert(self, tgt, coords):
         """Map into another context: lambda_a (as `Context.coordinate` holds
@@ -602,7 +1159,7 @@ class Scalar:
         vals = [tgt(mapping[name]) if name in mapping else tgt.gen(name)
                 for name in self.ctx.var_names]
         num, den = (_graded_values(tgt, poly, lambda m: 0, vals).get(0, tgt.zero)
-                    for poly in (self.f.numer, self.f.denom))
+                    for poly in (self.numer, self.denom))
         if den.is_zero:
             raise ZeroDivisionError(f"{what} produced a zero denominator")
         return num / den
@@ -611,7 +1168,8 @@ class Scalar:
         """x at q -> q^-1 (s -> 1/s), on a quantum field."""
         if self.ctx.mode != QUANTUM:
             raise ScalarError("only a quantum field has q to invert")
-        return self._moved(self.f, {0: [-1] + [0] * self.ctx.n})   # s is generator 0
+        # s is generator 0
+        return self._moved(self.numer, self.denom, {0: [-1] + [0] * self.ctx.n})
 
     def diff_lambda(self, i, eps=None):
         """Exact partial derivative along lambda_{i+1}.
@@ -621,16 +1179,38 @@ class Scalar:
         -(eps/2) w_a, where eps defaults to the symbol e but may be a fixed
         rational coupling (the w_a then encode exp(-eps*l_a/2) at that
         coupling).
+
+        With d = D/b for a derivation D with integer coefficients, the
+        quotient rule d(N/P) = D(N)/(b P) - N D(P)/(b P^2) is one
+        ``FactorBase.sum`` over the view of P, so no gcd is taken.
         """
         ctx = self.ctx
         if ctx.mode == QUANTUM:
             raise ScalarError("no polynomial lambda-derivative in quantum mode")
-        out = self.f.diff(ctx._gens[f"l{i + 1}"])
+        index = ctx.var_names.index
+        lam = index(f"l{i + 1}")
         if ctx.mode == SYMBOL:
-            wi = ctx._gens[f"w{i + 1}"]
-            eps_el = ctx._gens["e"] if eps is None else ctx(eps).f
-            out = out + self.f.diff(wi) * wi * eps_el * QQ(-1, 2)
-        return Scalar(ctx, out)
+            # D = b d/dl - a w d/dw with eps/2 = a/b, a the symbol e or an integer
+            w = index(f"w{i + 1}")
+            if eps is None:
+                b, a = 2, ctx._gens["e"]
+            else:
+                eps = Fraction(eps)
+                b, a = 2 * eps.denominator, _constant(ctx.ring, eps.numerator)
+
+            def derive(poly):
+                euler = type(poly)({m: c * m[w] for m, c in poly.items() if m[w]})
+                return _derivative(poly, lam, b) + -(a * euler)
+        else:
+            b = 1
+
+            def derive(poly):
+                return _derivative(poly, lam, 1)
+        num, den = self.numer, self.denom
+        c, exps = self.denominator_view()
+        return _from_view(ctx, *ctx.factors.sum(
+            derive(num), (b * c, exps), -(num * derive(den)),
+            (b * c * c, tuple((j, 2 * e) for j, e in exps))))
 
     def shift_lambda(self, mu):
         """lambda -> lambda - mu, for a weight mu given in coordinates:
@@ -664,14 +1244,16 @@ class Scalar:
         mu = [Fraction(x) for x in mu]
         if len(mu) != ctx.n or len(sigma) != ctx.n:
             raise UnsupportedShiftError("shift weight has wrong length")
-        index, coords, f = ctx.var_names.index, ctx._coordinates, self.f
+        index, coords = ctx.var_names.index, ctx._coordinates
+        num, den = self.numer, self.denom
         quantum, symbol = ctx.mode == QUANTUM, ctx.mode == SYMBOL
         if symbol and any(monom[index(f"w{a + 1}")] for a, m in enumerate(mu) if m
-                          for monom in (*f.numer, *f.denom)):
+                          for monom in (*num, *den)):
             raise UnsupportedShiftError(
                 "symbol-mode shift would need exp(e*c) factors outside the field")
         if any(mu) and not quantum:
-            f = _taylor_shift(ctx, f, {index(coords[a]): m for a, m in enumerate(mu) if m})
+            num, den = _taylor_shift(num, den,
+                                     {index(coords[a]): m for a, m in enumerate(mu) if m})
         images = {}
         for a, b in enumerate(sigma):
             k2 = -2 * mu[a] if quantum else 0
@@ -690,29 +1272,29 @@ class Scalar:
                 images[index(x)] = image
         if images:
             negated = [index(x) for x in coords] if sign < 0 and not quantum else ()
-            return self._moved(f, images, negated)
-        return self if f is self.f else Scalar(ctx, f)
+            return self._moved(num, den, images, negated)
+        return self if num is self.numer else Scalar(ctx, num, den)
 
-    def _moved(self, f, images, negated=()):
-        """f (self.f or its Taylor shift) under the ring automorphism sending
-        generator j to the Laurent monomial with exponent vector images[j]
-        (other generators are fixed), times -1 for j in negated.
+    def _moved(self, num, den, images, negated=()):
+        """num / den (self's or its Taylor shift) under the ring automorphism
+        sending generator j to the Laurent monomial with exponent vector
+        images[j] (other generators are fixed), times -1 for j in negated.
 
         Monomials and +-1 are the only units of the Laurent ring, and the
         integer coefficients only move between monomials, so the images of
         the coprime numerator and denominator are coprime up to their common
         monomial factor.  That factor (negative exponents included) is
-        divided out and the denominator's leading coefficient made positive,
-        as sympy's cancel would: no gcd is taken.  When f is self.f and its
-        view is built, the images of its denominator factors are interned."""
-        if f is self.f and self._view is not _UNSET:
+        divided out and the denominator's leading coefficient made positive:
+        no gcd is taken.  When num / den is self's and its view is built,
+        the images of its denominator factors are interned."""
+        if num is self.numer and self._view is not _UNSET:
             self.ctx.factors.intern_images(self._view, images, negated)
-        sides = [_monomial_terms(poly, images, negated) for poly in (f.numer, f.denom)]
+        sides = [_monomial_terms(poly, images, negated) for poly in (num, den)]
         low = tuple(map(min, zip(*sides[0], *sides[1])))
-        num, den = (f.numer.new(_lowered(side, low)) for side in sides)
-        if den.LC < 0:
+        num, den = (self.ctx.ring(_lowered(side, low)) for side in sides)
+        if _lc(den) < 0:
             num, den = -num, -den
-        return Scalar(self.ctx, f.raw_new(num, den))
+        return Scalar(self.ctx, num, den)
 
     def gamma_expand(self, order):
         """Expand at lambda -> lambda/gamma (and q = exp(-e*gamma/2)) through
@@ -724,7 +1306,7 @@ class Scalar:
         ctx = self.ctx
         tgt = symbol_ctx(ctx.n)
         if ctx.mode == CLASSICAL:
-            sides = [_classical_gamma_side(tgt, poly) for poly in (self.f.numer, self.f.denom)]
+            sides = [_classical_gamma_side(tgt, poly) for poly in (self.numer, self.denom)]
         elif ctx.mode == QUANTUM:
             # The quantum sides are truncated at gamma^order, which is exact:
             # numerator and denominator are coprime, so they do not both
@@ -733,8 +1315,7 @@ class Scalar:
             # valuation 0, and the coefficients through gamma^order read
             # both sides only through gamma^order; a denominator of positive
             # valuation is a pole.
-            sides = [_quantum_gamma_side(tgt, poly, order)
-                     for poly in (self.f.numer, self.f.denom)]
+            sides = [_quantum_gamma_side(tgt, poly, order) for poly in (self.numer, self.denom)]
         else:
             raise ScalarError("gamma_expand expects a classical or quantum Scalar")
         val, _ = laurent_quotient(*sides, 0)
@@ -750,7 +1331,13 @@ class Scalar:
         """Deterministic canonical text: integer-coefficient numerator and
         denominator in graded-lex monomial order, denominator content-free
         with positive leading coefficient."""
-        return _fraction_text(self.ctx, self.f)
+        return _fraction_text(self.ctx, self.numer, self.denom)
+
+
+def _derivative(poly, j, scale):
+    """scale * d poly / d x_j."""
+    return type(poly)({m[:j] + (m[j] - 1,) + m[j + 1:]: scale * m[j] * c
+                       for m, c in poly.items() if m[j]})
 
 
 def _monomial_terms(poly, images, negated=()):
@@ -771,32 +1358,45 @@ def _monomial_terms(poly, images, negated=()):
     return out
 
 
-def _taylor_shift(ctx, f, shifts):
-    """f with generator j replaced by x_j - shifts[j] (rationals).
+def _taylor_shift(num, den, shifts):
+    """num / den with generator j replaced by x_j - shifts[j] (rationals).
 
     The substitution is a ring automorphism of Q[gens], so the shifted
-    numerator and denominator stay coprime over Q: clearing denominators
-    and dividing out the integer content of both together reduces the
-    fraction over Z without a polynomial gcd.  Every new monomial divides
-    the old one it comes from, so the leading term in lex order and hence
-    the sign of the denominator are kept."""
-    qq = ctx._qq_ring
-    moves = [(qq.gens[j], qq.gens[j] - QQ(m.numerator, m.denominator))
-             for j, m in sorted(shifts.items())]
-    num, den = (poly.set_ring(qq).compose(moves) for poly in (f.numer, f.denom))
-    scale = lcm(*(int(c.denominator) for c in (*num.values(), *den.values())))
-    num, den = ({monom: int(c * scale) for monom, c in poly.items()} for poly in (num, den))
+    numerator and denominator stay coprime over Q.  A shift by a/q sends
+    q^d x_j^e to q^(d-e) (q x_j - a)^e, integral for d the larger x_j-degree
+    of the two sides; dividing out the integer content of both together then
+    reduces the fraction over Z without a polynomial gcd.  Every new
+    monomial divides the old one it comes from, so the leading term in lex
+    order and hence the sign of the denominator are kept."""
+    for j, shift in sorted(shifts.items()):
+        a, q = shift.numerator, shift.denominator
+        d = max(m[j] for m in (*num, *den))
+        rows = {}       # x_j-degree e -> coefficients of x_j^0..x_j^e
+        sides = []
+        for poly in (num, den):
+            out = {}
+            for m, c in poly.items():
+                e = m[j]
+                row = rows.get(e)
+                if row is None:
+                    row = rows[e] = [comb(e, i) * q ** (i + d - e) * (-a) ** (e - i)
+                                     for i in range(e + 1)]
+                for i, k in enumerate(row):
+                    t = m[:j] + (i,) + m[j + 1:]
+                    out[t] = out.get(t, 0) + c * k
+            sides.append(type(poly)({m: c for m, c in out.items() if c}))
+        num, den = sides
     content = gcd(*num.values(), *den.values())
-    return f.raw_new(f.numer.new({m: c // content for m, c in num.items()}),
-                     f.denom.new({m: c // content for m, c in den.items()}))
+    return _quo_int(num, content), _quo_int(den, content)
 
 
 def _graded_values(tgt, poly, grade, vals):
     """{grade(m): sum of c * prod vals[j]**m[j]} over the terms c * x^m of
-    poly, for Scalars vals of tgt (None sets a generator to 1)."""
+    poly in decreasing lex order, for Scalars vals of tgt (None sets a
+    generator to 1)."""
     out = {}
-    for monom, c in poly.terms():
-        term = tgt(int(c))
+    for monom, c in sorted(poly.items(), reverse=True):
+        term = tgt(c)
         for v, e in zip(vals, monom):
             if e and v is not None:
                 term = term * v ** e
@@ -888,19 +1488,18 @@ def _poly_text_integer(ctx, terms):
     return " ".join(parts)
 
 
-def _fraction_text(ctx, f):
-    num, den = f.numer, f.denom
+def _fraction_text(ctx, num, den):
     if not num:
         return "0"
-    terms_n = sorted(num.terms(), key=lambda t: _monomial_key(t[0]))
-    terms_d = sorted(den.terms(), key=lambda t: _monomial_key(t[0]))
+    terms_n = sorted(num.items(), key=lambda t: _monomial_key(t[0]))
+    terms_d = sorted(den.items(), key=lambda t: _monomial_key(t[0]))
     # strip the shared integer content; the denominator's first term in
     # graded-lex order gets a positive coefficient
-    g = gcd(*(int(c) for _, c in terms_n + terms_d))
+    g = gcd(*(c for _, c in terms_n + terms_d))
     if terms_d[0][1] < 0:
         g = -g
-    num_text = _poly_text_integer(ctx, [(m, int(c) // g) for m, c in terms_n])
-    den_text = _poly_text_integer(ctx, [(m, int(c) // g) for m, c in terms_d])
+    num_text = _poly_text_integer(ctx, [(m, c // g) for m, c in terms_n])
+    den_text = _poly_text_integer(ctx, [(m, c // g) for m, c in terms_d])
     if den_text == "1":
         return num_text
     return f"({num_text})/({den_text})"

@@ -61,7 +61,9 @@ def test_stats_go_to_stderr_only(capsys):
     stats = json.loads(captured.err.strip().splitlines()[-1])["scalars"]
     row = next(r for r in stats if r["context"] == "quantum n=3")
     assert row["mul"] > 0 and row["factors"] > 0 and row["divisions"] > 0
-    assert set(row) == {"context", "mul", "add", "div", "divisions", "screened", "factors"}
+    assert row["fallbacks"] == 0
+    assert set(row) == {"context", "mul", "add", "div", "divisions", "screened", "fallbacks",
+                        "factors"}
 
 
 def test_verify_hecke_rep(capsys):

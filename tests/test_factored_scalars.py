@@ -3,10 +3,11 @@
 `Scalar` multiplies, adds and divides without a polynomial gcd over the
 factored views of its denominators.  Here every operation is wrapped so that
 its result is compared with sympy's own `FracElement` operation on the same
-operands, over package jobs of every layer that computes with Scalars, and
-over random fractions built from interned factors.  The factoring behind the
-views is compared with sympy's `factor_list`, and the integer-point screen of
-trial division with the divisions it skips.
+operands (read through `sympy_oracle.to_sympy`), over package jobs of every
+layer that computes with Scalars, and over random fractions built from
+interned factors.  The factoring behind the views is compared with sympy's
+`factor_list`, and the integer-point screen of trial division with the
+divisions it skips.
 """
 
 from collections import Counter
@@ -18,7 +19,7 @@ from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
-from sympy.polys.rings import PolyElement
+from sympy_oracle import sympy_factors, sympy_field, to_sympy
 
 from dybax import catalog, fusion, macdonald, reps, rootdata, scalars, verify
 from dybax.scalars import (
@@ -28,6 +29,9 @@ from dybax.scalars import (
     Scalar,
     _exact_quotient,
     _irreducible_factors,
+    _is_ground,
+    _lc,
+    _quo_int,
     _value,
     classical_ctx,
     context_stats,
@@ -58,10 +62,10 @@ def oracle(monkeypatch):
 
         def wrapped(self, other, fast=fast, reference=reference, name=name):
             out = fast(self, other)
-            want = reference(self.f, self.ctx(other).f)
-            assert (out.f.numer, out.f.denom) == (want.numer, want.denom), (name, self, other)
+            want = reference(to_sympy(self), to_sympy(self.ctx(other)))
+            assert same(out, want), (name, self, other)
             view = out.denominator_view()
-            assert view is not None and out.ctx.factors.expand(view) == out.f.denom
+            assert view is not None and out.ctx.factors.expand(view) == out.denom
             checked["ops"] += 1
             return out
         monkeypatch.setattr(Scalar, name, wrapped)
@@ -152,7 +156,8 @@ def factored_fractions(draw, mode):
 
 def same(x, want):
     """Scalar x has exactly the representation of the FracElement want."""
-    return (x.f.numer, x.f.denom) == (want.numer, want.denom)
+    got = to_sympy(x)
+    return (got.numer, got.denom) == (want.numer, want.denom)
 
 
 @modes
@@ -162,20 +167,20 @@ def test_field_operations_match_sympy(mode, data):
     ctx = FIELDS[mode][0]
     a, b = data.draw(factored_fractions(mode)), data.draw(factored_fractions(mode))
     k = data.draw(st.integers(-3, 3))
-    a, b = Scalar(ctx, a.f), Scalar(ctx, b.f)    # views built afresh, not inherited
-    kf = ctx(k).f
-    assert same(a * b, a.f * b.f)
-    assert same(a + b, a.f + b.f)
-    assert same(a - b, a.f - b.f)
-    assert same((a + b) - b, a.f)       # the sum must cancel b's factors
-    assert same(k - a, kf - a.f)
-    assert same(k * a, kf * a.f)
+    a, b = (Scalar(ctx, x.numer, x.denom) for x in (a, b))   # views built afresh
+    af, bf, kf = to_sympy(a), to_sympy(b), to_sympy(ctx(k))
+    assert same(a * b, af * bf)
+    assert same(a + b, af + bf)
+    assert same(a - b, af - bf)
+    assert same((a + b) - b, af)       # the sum must cancel b's factors
+    assert same(k - a, kf - af)
+    assert same(k * a, kf * af)
     if b:
-        assert same(a / b, a.f / b.f)
+        assert same(a / b, af / bf)
     if a and k:
-        assert same(k / a, kf / a.f)
+        assert same(k / a, kf / af)
     if a:
-        assert same(a ** -2, ctx.one.f / (a.f * a.f))
+        assert same(a ** -2, to_sympy(ctx.one) / (af * af))
 
 
 @st.composite
@@ -183,7 +188,7 @@ def factorable_polynomials(draw, mode):
     """A monomial times P(x^e) for random P and primitive e (negative
     entries cleared by a monomial) and degree-one polynomials."""
     ctx = FIELDS[mode][0]
-    ring = ctx.field.ring
+    ring = sympy_field(ctx.var_names).ring
     k = ring.ngens
     out = ring.one
     for g in ring.gens:
@@ -202,7 +207,7 @@ def factorable_polynomials(draw, mode):
             factor = ring(coeffs[-1]) + sum((c * g for c, g in zip(coeffs, ring.gens)), ring.zero)
         assume(factor)
         out *= factor
-    return out
+    return ctx.ring({m: int(c) for m, c in out.items()})
 
 
 @modes
@@ -210,21 +215,19 @@ def factorable_polynomials(draw, mode):
 @given(data=st.data())
 def test_irreducible_factors_match_factor_list(mode, data):
     poly = data.draw(factorable_polynomials(mode))
-    want = Counter((f if f.LC > 0 else -f, k) for f, k in poly.factor_list()[1])
+    want = sympy_factors(poly, FIELDS[mode][0].var_names)
     assert Counter(_irreducible_factors(poly)) == want
 
 
 def test_one_variable_content_needs_no_factor_list(monkeypatch):
-    ring = quantum_ctx(2).field.ring
-    s, t1, t2 = ring.gens
+    ctx = quantum_ctx(2)
+    s, t1, t2 = ctx.s, ctx.t(0), ctx.t(1)
     calls = []
-    factor_list = PolyElement.factor_list
-    monkeypatch.setattr(PolyElement, "factor_list",
-                        lambda poly: calls.append(poly) or factor_list(poly))
-    for poly in ((s**4 - t1**2) * (s**4 + 1), (s**8 - t1**2) * (s**8 + s**4 + 1),
-                 (t1 - t2 + 3) * (t1 + 1) ** 2 * (s - 1)):
-        want = Counter((f if f.LC > 0 else -f, k) for f, k in factor_list(poly)[1])
-        assert Counter(_irreducible_factors(poly)) == want
+    monkeypatch.setattr(scalars, "_factor_list", calls.append)
+    for x in ((s**4 - t1**2) * (s**4 + 1), (s**8 - t1**2) * (s**8 + s**4 + 1),
+              (t1 - t2 + 3) * (t1 + 1) ** 2 * (s - 1)):
+        poly = x.numer
+        assert Counter(_irreducible_factors(poly)) == sympy_factors(poly, ctx.var_names)
     assert calls == []
 
 
@@ -234,9 +237,10 @@ def test_binomial_denominators_get_a_view(text):
     ctx = quantum_ctx(2)
     x = 1 / _factors(ctx, [text])[0]
     view = x.denominator_view()
-    assert ctx.factors.expand(view) == x.f.denom
+    assert ctx.factors.expand(view) == x.denom
     for i, _ in view[1]:
-        assert ctx.factors.factors[i].factor_list()[1] == [(ctx.factors.factors[i], 1)]
+        factor = ctx.factors.factors[i]
+        assert sympy_factors(factor, ctx.var_names) == Counter({(factor, 1): 1})
 
 
 @pytest.mark.parametrize("move", [lambda x: x.shift_lambda([1, 0]),
@@ -246,40 +250,37 @@ def test_moved_denominators_need_no_factoring(monkeypatch, move):
     ctx = Context(QUANTUM, 2)
     s, t1, t2 = ctx.s, ctx.t(0), ctx.t(1)
     x = 1 / ((t1 - s ** 2 * t2) * (t1 * t2 - s ** 2))
+    x.denominator_view()
     calls = []
-    factor_list = PolyElement.factor_list
-    monkeypatch.setattr(PolyElement, "factor_list",
-                        lambda poly: calls.append(poly) or factor_list(poly))
+    factor = scalars._irreducible_factors
+    monkeypatch.setattr(scalars, "_irreducible_factors",
+                        lambda poly, counts=None: calls.append(poly) or factor(poly, counts))
     y = move(x)
-    assert ctx.factors.expand(y.denominator_view()) == y.f.denom
-    assert len(y.f.denom.terms()) == 4 and calls == []
+    assert ctx.factors.expand(y.denominator_view()) == y.denom
+    assert len(y.denom) == 4 and calls == []
 
 
 def test_interned_factors_keep_a_fresh_hash(monkeypatch):
-    # sympy's exquo can return a polynomial whose cached hash is stale: equal
-    # to its rebuilt copy, yet hashed apart, so FactorBase._intern keyed on
-    # it would miss the equal factor.  The quantum Shapovalov job splits
-    # one-variable contents off with exquo.
+    # FactorBase._intern keys factors by hash, so a factor must hash like
+    # its rebuilt copy.  The quantum Shapovalov job splits one-variable
+    # contents off by exact division.
     fresh = lru_cache(maxsize=None)(lambda n: Context(QUANTUM, n))
     monkeypatch.setattr(rootdata, "quantum_ctx", fresh)
-    divisors = []
-    exquo = PolyElement.exquo
-    monkeypatch.setattr(PolyElement, "exquo", lambda p, d: divisors.append(d) or exquo(p, d))
     v = reps.vector_rep(rootdata.build_type_A(3, "gl"), True)
     fusion.fusion_exchange_construction(v, v)
     fusion.shapovalov_vs_fusion(rootdata.build_type_A(2, "sl"), 3, quantum=True)
-    assert v.ctx is fresh(3) and divisors
+    assert v.ctx is fresh(3)
     for n in (1, 3):
         assert len(fresh(n).factors.factors) > 1
         for f in fresh(n).factors.factors:
-            assert hash(f) == hash(f.new(dict(f))), f
+            assert hash(f) == hash(type(f)(dict(f))), f
 
 
 def test_negative_powers_are_canonical():
     ctx = quantum_ctx(1)
     t = ctx.t(0)
     assert (1 - t) ** -1 == 1 / (1 - t)
-    assert ((1 - t) ** -3).f.denom.LC > 0
+    assert _lc(((1 - t) ** -3).denom) > 0
 
 
 # -- the integer-point screen of trial division --------------------------------
@@ -297,11 +298,10 @@ def polynomials(draw, ring):
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_screen_skips_only_failing_divisions(mode, data):
-    ring = FIELDS[mode][0].field.ring
+    ring = FIELDS[mode][0].ring
     f, g, h = (data.draw(polynomials(ring)) for _ in range(3))
-    assume(not f.is_ground)
-    f = f.primitive()[1]
-    f = f if f.LC > 0 else -f
+    assume(not _is_ground(f))
+    f = _quo_int(f, gcd(*f.values()) * (1 if _lc(f) > 0 else -1))
     counts = {"divisions": 0, "screened": 0}
     base = FactorBase(ring, counts)     # f may be reducible: keep it out of the fields
     i = base._intern(f)
@@ -321,7 +321,7 @@ def test_a_factor_vanishing_at_the_point_still_divides():
     h = t1 + t2 + s
     x = (t2 + 1) / (f * h)
     values = {ctx.factors._records[i][4] for i, _ in x.denominator_view()[1]}
-    assert values == {0, _value(h.f.numer, a)}
+    assert values == {0, _value(h.numer, a)}
     assert x * (f * h) == t2 + 1 and x * h ** 2 * f ** 2 == (t2 + 1) * f * h
 
 

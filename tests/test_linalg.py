@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import QQ
 from sympy.polys.matrices import DomainMatrix
+from sympy_oracle import sympy_field, to_sympy
 
 from dybax.catalog import RATIONALS
 from dybax.linalg import Mat, kernel_basis, kron, rank_of, rref, solve_dense
@@ -162,7 +163,7 @@ FIELDS = {
     "Q(s,t)": (_ST,
                [_ST.zero, _ST.zero, _ST.zero, _ST.one, _S, _T, _S - _T, _S * _T,
                 1 / (_S + 1), _T / _S],
-               lambda x: x.f, _ST.field.to_domain()),
+               to_sympy, sympy_field(_ST.var_names).to_domain()),
 }
 
 

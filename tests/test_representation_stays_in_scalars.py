@@ -3,8 +3,8 @@
 Every other module of the package computes with Scalars through their
 arithmetic and the faces `scalars.py` offers (`convert`, `shift_lambda`,
 `invert_q`, `lambda_graded`, ...), so the representation behind them can
-change inside one module.  This reads no attribute that exposes the sympy
-fraction, its generator names or the field's mode.
+change inside one module.  This reads no attribute that exposes the
+numerator and denominator, the field's generator names or its mode.
 """
 
 import ast
